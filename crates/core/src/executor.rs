@@ -9,7 +9,7 @@
 use crate::schedule::BatchSchedule;
 use crate::task::{select_sources, Task};
 use mtvc_cluster::{ClusterSpec, FaultPlan, MonetaryCost};
-use mtvc_engine::{EngineConfig, RunResult, Runner, SlabRecycler, SystemProfile};
+use mtvc_engine::{EngineConfig, RunResult, Runner, SlabRecycler, PARALLEL_VERTEX_THRESHOLD};
 use mtvc_graph::hash::mix64;
 use mtvc_graph::partition::Partition;
 use mtvc_graph::{Graph, VertexId};
@@ -154,13 +154,29 @@ pub fn run_job(graph: &Graph, spec: &JobSpec) -> JobResult {
         spec.task.workload() <= spec.task.max_workload(graph),
         "workload exceeds the graph's capacity for this task"
     );
+    run_job_on(&job_runner(graph, spec), spec)
+}
 
+/// The runner every batch of `spec` executes on: partition, layout,
+/// paged adjacency, mirrors and worker pool are built once per job.
+fn job_runner<'g>(graph: &'g Graph, spec: &JobSpec) -> Runner<'g> {
     let partition = spec
         .system
         .partitioner()
         .partition(graph, spec.cluster.machines);
-    let profile = spec.system.profile(&spec.cluster.machine);
+    let mut cfg = EngineConfig::new(
+        spec.cluster.clone(),
+        spec.system.profile(&spec.cluster.machine),
+    );
+    if let Some(t) = spec.parallel_vertex_threshold {
+        cfg.parallel_vertex_threshold = t;
+    }
+    Runner::with_partition(graph, partition, cfg)
+}
 
+/// [`run_job`] on a prepared [`job_runner`].
+fn run_job_on(runner: &Runner, spec: &JobSpec) -> JobResult {
+    let graph = runner.graph();
     // Source-based tasks: one global source pool, indexed once here and
     // sliced per batch so batches never repeat a unit task (and never
     // rebuild the vertex → query map).
@@ -174,6 +190,7 @@ pub fn run_job(graph: &Graph, spec: &JobSpec) -> JobResult {
     let shared = BatchShared::default();
 
     let mut residual = vec![0u64; spec.cluster.machines];
+    let mut cfg = runner.config().clone();
     let mut stats = RunStats::new();
     let mut per_batch = Vec::with_capacity(spec.schedule.len());
     let mut elapsed = SimTime::ZERO;
@@ -181,13 +198,9 @@ pub fn run_job(graph: &Graph, spec: &JobSpec) -> JobResult {
     let mut source_offset = 0usize;
 
     for (i, &w) in spec.schedule.batches().iter().enumerate() {
-        let mut cfg = EngineConfig::new(spec.cluster.clone(), profile.clone());
         cfg.seed = spec.seed.wrapping_add(i as u64 + 1);
         cfg.cutoff = spec.cutoff - elapsed;
-        cfg.residual_bytes = residual.clone();
-        if let Some(t) = spec.parallel_vertex_threshold {
-            cfg.parallel_vertex_threshold = t;
-        }
+        cfg.residual_bytes.clone_from(&residual);
 
         let batch_sources = match spec.task {
             Task::Bppr { .. } => BatchSources::Slice(&[]),
@@ -199,9 +212,8 @@ pub fn run_job(graph: &Graph, spec: &JobSpec) -> JobResult {
         };
 
         let batch = run_one_batch(
-            graph,
-            partition.clone(),
-            cfg,
+            runner,
+            &cfg,
             spec.system,
             spec.task,
             w,
@@ -270,7 +282,7 @@ pub struct BatchExecution {
 
 /// Reusable single-batch executor for online serving.
 ///
-/// Partitions the graph and resolves the system profile once, then
+/// Partitions the graph and builds the engine's runner once, then
 /// executes formed batches on demand. Unlike [`run_job`], batches need
 /// not be known up front, may interleave with other runners, and
 /// residual memory is owned by the caller — exactly the shape an
@@ -278,14 +290,16 @@ pub struct BatchExecution {
 #[derive(Debug, Clone)]
 pub struct BatchRunner {
     graph: Arc<Graph>,
-    partition: Partition,
-    profile: SystemProfile,
     system: SystemKind,
-    cluster: ClusterSpec,
     task: Task,
     parallel_vertex_threshold: Option<usize>,
     faults: Option<FaultPlan>,
     checkpoint_every: Option<usize>,
+    /// The engine runner every batch of this runner (and its clones)
+    /// executes on: layout, paged adjacency, mirrors, worker pool and
+    /// recycled round buffers. Its config fixes only the layout; each
+    /// batch brings its own seed, cutoff, residual, cutover and faults.
+    runner: Arc<Runner<'static>>,
     /// Slab pools recycled across every batch this runner (and its
     /// clones) executes.
     shared: Arc<BatchShared>,
@@ -298,16 +312,18 @@ impl BatchRunner {
     pub fn new(graph: Arc<Graph>, task: Task, system: SystemKind, cluster: ClusterSpec) -> Self {
         let partition = system.partitioner().partition(&graph, cluster.machines);
         let profile = system.profile(&cluster.machine);
+        // Serial cutover until a batch asks for the pool: it is spawned
+        // by the first batch that runs parallel, not here.
+        let cfg = EngineConfig::new(cluster, profile).with_parallel_threshold(usize::MAX);
+        let runner = Arc::new(Runner::shared(Arc::clone(&graph), partition, cfg));
         BatchRunner {
             graph,
-            partition,
-            profile,
             system,
-            cluster,
             task,
             parallel_vertex_threshold: None,
             faults: None,
             checkpoint_every: None,
+            runner,
             shared: Arc::new(BatchShared::default()),
         }
     }
@@ -337,12 +353,12 @@ impl BatchRunner {
 
     /// Number of machines batches run on.
     pub fn machines(&self) -> usize {
-        self.cluster.machines
+        self.cluster().machines
     }
 
     /// The cluster batches are priced against.
     pub fn cluster(&self) -> &ClusterSpec {
-        &self.cluster
+        &self.runner.config().cluster
     }
 
     /// The task shape this runner executes.
@@ -393,7 +409,7 @@ impl BatchRunner {
         assert!(workload >= 1, "batch workload must be positive");
         assert_eq!(
             residual.len(),
-            self.cluster.machines,
+            self.machines(),
             "residual vector must have one entry per machine"
         );
         if !matches!(self.task, Task::Bppr { .. }) {
@@ -403,23 +419,20 @@ impl BatchRunner {
                 "source-based batches need exactly `workload` sources"
             );
         }
-        let mut cfg = EngineConfig::new(self.cluster.clone(), self.profile.clone());
+        let mut cfg = self.runner.config().clone();
         cfg.seed = seed;
         cfg.cutoff = cutoff;
         cfg.residual_bytes = residual.to_vec();
-        if let Some(t) = parallel_threshold.or(self.parallel_vertex_threshold) {
-            cfg.parallel_vertex_threshold = t;
-        }
-        if let Some(plan) = &self.faults {
-            cfg.faults = Some(plan.clone());
-        }
+        cfg.parallel_vertex_threshold = parallel_threshold
+            .or(self.parallel_vertex_threshold)
+            .unwrap_or(PARALLEL_VERTEX_THRESHOLD);
+        cfg.faults = self.faults.clone();
         if let Some(every) = self.checkpoint_every {
             cfg.checkpoint_every = every;
         }
         let run = run_one_batch(
-            &self.graph,
-            self.partition.clone(),
-            cfg,
+            &self.runner,
+            &cfg,
             self.system,
             self.task,
             workload,
@@ -485,7 +498,7 @@ impl BatchRunner {
         let mut censored = Vec::new();
         let mut peak = Bytes::ZERO;
         let mut total = SimTime::ZERO;
-        let mut residual_delta = vec![0u64; self.cluster.machines];
+        let mut residual_delta = vec![0u64; self.machines()];
         let mut index = 0u64;
         let mut outcome = RunOutcome::Completed(SimTime::ZERO);
 
@@ -623,11 +636,9 @@ struct BatchRun {
     residual_delta: Vec<u64>,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_one_batch(
-    graph: &Graph,
-    partition: Partition,
-    cfg: EngineConfig,
+    runner: &Runner,
+    cfg: &EngineConfig,
     system: SystemKind,
     task: Task,
     workload: u64,
@@ -635,16 +646,15 @@ fn run_one_batch(
     shared: &BatchShared,
 ) -> BatchRun {
     let broadcast = system.is_broadcast();
+    let partition = runner.partition();
     match task {
         Task::Bppr { alpha, .. } => {
-            let n = graph.num_vertices();
+            let n = runner.graph().num_vertices();
             if broadcast {
                 let prog = BpprPushSlabProgram::new(workload, alpha, n);
-                execute(
-                    graph,
+                fold_residual(
                     partition,
-                    cfg,
-                    |r| r.run_slab_recycled(&prog, &shared.push),
+                    runner.run_slab_recycled(&prog, &shared.push, cfg),
                     |st: &PushState| {
                         // Residual: fractional stop masses, one f64
                         // record per (vertex, source) entry.
@@ -653,11 +663,9 @@ fn run_one_batch(
                 )
             } else {
                 let prog = BpprSlabProgram::new(workload, alpha, n);
-                execute(
-                    graph,
+                fold_residual(
                     partition,
-                    cfg,
-                    |r| r.run_slab_recycled(&prog, &shared.words),
+                    runner.run_slab_recycled(&prog, &shared.words, cfg),
                     |st: &BpprState| {
                         // §5: "we need to store the ending nodes of
                         // every random walk computed in each batch" —
@@ -671,70 +679,42 @@ fn run_one_batch(
         Task::Mssp { .. } => {
             let (index, range) = sources.resolve();
             let residual = |st: &MsspState| st.dist.len() as u64 * 16;
-            if broadcast {
+            let result = if broadcast {
                 let prog = MsspBroadcastSlabProgram::batch(index, range);
-                execute(
-                    graph,
-                    partition,
-                    cfg,
-                    |r| r.run_slab_recycled(&prog, &shared.words),
-                    residual,
-                )
+                runner.run_slab_recycled(&prog, &shared.words, cfg)
             } else {
                 let prog = MsspSlabProgram::batch(index, range);
-                execute(
-                    graph,
-                    partition,
-                    cfg,
-                    |r| r.run_slab_recycled(&prog, &shared.words),
-                    residual,
-                )
-            }
+                runner.run_slab_recycled(&prog, &shared.words, cfg)
+            };
+            fold_residual(partition, result, residual)
         }
         Task::Bkhs { k, .. } => {
             let (index, range) = sources.resolve();
             // Residual: bitmap-encoded reach flags, ~1 byte per
             // (query, vertex) flag (see mtvc-tasks::bkhs docs).
             let residual = |st: &BkhsState| st.reached.len() as u64;
-            if broadcast {
+            let result = if broadcast {
                 let prog = BkhsBroadcastSlabProgram::batch(index, range, k);
-                execute(
-                    graph,
-                    partition,
-                    cfg,
-                    |r| r.run_slab_recycled(&prog, &shared.flags),
-                    residual,
-                )
+                runner.run_slab_recycled(&prog, &shared.flags, cfg)
             } else {
                 let prog = BkhsSlabProgram::batch(index, range, k);
-                execute(
-                    graph,
-                    partition,
-                    cfg,
-                    |r| r.run_slab_recycled(&prog, &shared.flags),
-                    residual,
-                )
-            }
+                runner.run_slab_recycled(&prog, &shared.flags, cfg)
+            };
+            fold_residual(partition, result, residual)
         }
     }
 }
 
-/// Run one batch (the `run` closure picks the program and state layout)
-/// and fold its extracted states into per-worker residual bytes.
-fn execute<S: Default + Clone + Send>(
-    graph: &Graph,
-    partition: Partition,
-    cfg: EngineConfig,
-    run: impl FnOnce(&Runner) -> RunResult<S>,
+/// Fold a finished batch's extracted states into per-worker residual
+/// bytes, charged to each vertex's owner.
+fn fold_residual<S>(
+    partition: &Partition,
+    result: RunResult<S>,
     residual_of: impl Fn(&S) -> u64,
 ) -> BatchRun {
-    let workers = partition.num_workers();
-    let owner: Vec<u16> = graph.vertices().map(|v| partition.owner_of(v)).collect();
-    let runner = Runner::with_partition(graph, partition, cfg);
-    let result = run(&runner);
-    let mut residual_delta = vec![0u64; workers];
+    let mut residual_delta = vec![0u64; partition.num_workers()];
     for (v, state) in result.states.iter().enumerate() {
-        residual_delta[owner[v] as usize] += residual_of(state);
+        residual_delta[partition.owner_of(v as VertexId) as usize] += residual_of(state);
     }
     BatchRun {
         outcome: result.outcome,
@@ -1062,6 +1042,99 @@ mod tests {
         let mut scrubbed = chaotic.stats.clone();
         scrubbed.faults = Default::default();
         assert_eq!(scrubbed, clean.stats);
+    }
+
+    /// `run_job` builds one runner per job and reuses its paged layout,
+    /// pool and round buffers across batches; every batch must still
+    /// equal the same batch executed on a runner of its own.
+    #[test]
+    fn run_job_equals_per_batch_fresh_runners() {
+        let g = Arc::new(small_graph());
+        // Scaled so GraphD's page cache (2 % of usable memory) is far
+        // smaller than a worker's adjacency: every batch evicts.
+        let cluster = ClusterSpec::galaxy(4).scaled(262_144.0);
+        for task in [Task::mssp(12), Task::bkhs(12)] {
+            let schedule = BatchSchedule::equal(12, 4);
+            let spec =
+                JobSpec::new(task, SystemKind::GraphD, cluster.clone(), schedule).with_seed(5);
+            let job = run_job(&g, &spec);
+            assert!(job.outcome.is_completed(), "{task:?}: {:?}", job.outcome);
+            assert!(job.stats.total_partition_loads > 0, "GraphD pages");
+
+            // The job's batches replayed one by one, each on a fresh
+            // runner, with run_job's sources, seeds, cutoffs and
+            // residual memory.
+            let sources = select_sources(&g, 12, spec.seed ^ 0xA5A5);
+            let mut residual = vec![0u64; 4];
+            let mut elapsed = SimTime::ZERO;
+            let mut stats = RunStats::new();
+            let mut offset = 0usize;
+            for (i, &w) in spec.schedule.batches().iter().enumerate() {
+                let fresh =
+                    BatchRunner::new(Arc::clone(&g), task, SystemKind::GraphD, cluster.clone());
+                let e = fresh.run_batch(
+                    w,
+                    &sources[offset..offset + w as usize],
+                    &residual,
+                    spec.seed.wrapping_add(i as u64 + 1),
+                    spec.cutoff - elapsed,
+                );
+                offset += w as usize;
+                for (r, d) in residual.iter_mut().zip(&e.residual_delta) {
+                    *r += d;
+                }
+                let b = &job.per_batch[i];
+                assert_eq!(b.outcome, e.outcome, "{task:?} batch {i}");
+                assert_eq!(b.peak_memory, e.peak_memory, "{task:?} batch {i}");
+                assert_eq!(b.residual_after, residual.iter().sum::<u64>());
+                elapsed += e.time;
+                stats.absorb(&e.stats);
+            }
+            assert_eq!(job.stats, stats, "{task:?}");
+            assert_eq!(job.outcome, RunOutcome::Completed(elapsed));
+        }
+    }
+
+    /// With the parallel cutover at 1, every batch of a `BatchRunner`
+    /// (and of its clones) and every batch of a `run_job` runs on one
+    /// persistent pool: its thread IDs never change from batch to
+    /// batch. (The engine's own tests pin that a run's compute executes
+    /// on its runner's pool threads.)
+    #[test]
+    fn all_batches_run_on_the_same_pool_threads() {
+        let g = Arc::new(small_graph());
+        let runner = BatchRunner::new(
+            Arc::clone(&g),
+            Task::bppr(8),
+            SystemKind::PregelPlus,
+            ClusterSpec::galaxy(4),
+        )
+        .with_parallel_threshold(1);
+        assert!(runner.runner.pool().is_none(), "spawned by the first batch");
+        let mut first: Option<Vec<std::thread::ThreadId>> = None;
+        for (seed, r) in [(1, runner.clone()), (2, runner.clone()), (3, runner)] {
+            let e = r.run_batch(8, &[], &[0; 4], seed, OVERLOAD_CUTOFF);
+            assert!(e.outcome.is_completed());
+            let ids = r.runner.pool().expect("threshold 1 pools").thread_ids();
+            assert_eq!(ids.len(), 4);
+            assert_eq!(
+                first.get_or_insert_with(|| ids.to_vec()),
+                ids,
+                "batch {seed}"
+            );
+        }
+
+        let spec = spec(Task::bppr(16), 4).with_parallel_threshold(1);
+        let runner = job_runner(&g, &spec);
+        let ids = runner
+            .pool()
+            .expect("threshold 1 pools")
+            .thread_ids()
+            .to_vec();
+        let job = run_job_on(&runner, &spec);
+        assert!(job.outcome.is_completed());
+        assert_eq!(job.per_batch.len(), 4);
+        assert_eq!(runner.pool().unwrap().thread_ids(), &ids[..]);
     }
 
     #[test]

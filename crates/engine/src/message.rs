@@ -12,8 +12,10 @@ use mtvc_graph::VertexId;
 
 /// Payload trait. Combinable payloads expose a key: the engine merges
 /// envelopes with equal `(destination, key)` when the active system
-/// profile enables combining (GraphLab(sync)-style).
-pub trait Message: Clone + Send + Sync {
+/// profile enables combining (GraphLab(sync)-style). Payloads own their
+/// data (`'static`): a runner keeps retired round buffers across runs,
+/// keyed by message type.
+pub trait Message: Clone + Send + Sync + 'static {
     /// Combining key within a destination vertex; `None` disables
     /// combining for this payload entirely.
     fn combine_key(&self) -> Option<u64>;

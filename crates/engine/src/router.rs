@@ -576,7 +576,7 @@ fn push_send<M: Message>(
     part: &Partition,
     locals: &LocalIndex,
     combine: bool,
-    shards: &mut [Shard<M>],
+    shards: &mut [Box<Shard<M>>],
     slots: &mut SenderSlots,
 ) {
     let dw = part.owner_of(env.dest) as usize;
@@ -611,7 +611,7 @@ fn push_broadcast<M: Message>(
     dw: usize,
     locals: &LocalIndex,
     combine: bool,
-    shards: &mut [Shard<M>],
+    shards: &mut [Box<Shard<M>>],
     slots: &mut SenderSlots,
 ) -> bool {
     let li = locals.local_of(dest);
@@ -639,7 +639,7 @@ fn push_broadcast<M: Message>(
 /// [`shard_outbox`] prologue and [`RouteGrid::begin_round`] (the
 /// fold-at-send path, which must prepare the row *before* the compute
 /// phase starts emitting into it).
-fn prepare_shards<M>(shards: &mut [Shard<M>], locals: &LocalIndex, combine: bool) {
+fn prepare_shards<M>(shards: &mut [Box<Shard<M>>], locals: &LocalIndex, combine: bool) {
     for (dw, shard) in shards.iter_mut().enumerate() {
         let nloc = locals.count(dw);
         if shard.hist.len() < nloc {
@@ -690,7 +690,7 @@ fn shard_outbox<M: Message>(
     combine: bool,
     msg_bytes: u64,
     policy: &RoutePolicy,
-    shards: &mut [Shard<M>],
+    shards: &mut [Box<Shard<M>>],
     slots: &mut SenderSlots,
 ) -> (u64, u64) {
     prepare_shards(shards, locals, combine);
@@ -905,7 +905,7 @@ fn measure_shard_encoded<M: Message>(shard: &mut Shard<M>) -> u64 {
 /// the compute phase used to derive with a per-round counting sort.
 fn merge_column<M: Message>(
     dst: usize,
-    col: &mut [Shard<M>],
+    col: &mut [Box<Shard<M>>],
     locals: &LocalIndex,
     counts: &mut Vec<u32>,
     active: &mut Vec<u32>,
@@ -1217,17 +1217,23 @@ pub fn route_with<M: Message>(
 
 /// Persistent state of the two-stage routing pipeline: the
 /// workers×workers shard matrix, per-pair flow cells, per-source
-/// combining slot maps, and per-destination offset buffers. Owned for
-/// the duration of one run and reused every round, so steady-state
-/// routing allocates nothing.
+/// combining slot maps, and per-destination offset buffers. Reused
+/// every round, and — through the [`Runner`](crate::Runner)'s round
+/// recycler — by every run of the runner, so steady-state routing
+/// allocates nothing.
+// The shards are boxed on purpose (clippy's `vec_box` assumes the box
+// buys nothing inside a `Vec`): the transpose swaps the boxes, moving
+// 8-byte handles instead of ~330-byte shard structs.
+#[allow(clippy::vec_box)]
 pub struct RouteGrid<M> {
     workers: usize,
     /// Row-major shards, `rows[src][dst]` — the layout stage 1 writes.
-    rows: Vec<Vec<Shard<M>>>,
+    rows: Vec<Vec<Box<Shard<M>>>>,
     /// Column-major shards, `cols[dst][src]` — the layout stage 2
-    /// reads. Shards shuttle between the two layouts via O(workers²)
-    /// `Vec`-header moves per round; their heap buffers never move.
-    cols: Vec<Vec<Shard<M>>>,
+    /// reads. Each shard is boxed, so handing a column over swaps
+    /// pointer-sized handles with the (empty) shards parked here;
+    /// neither the shard structs nor their buffers ever move.
+    cols: Vec<Vec<Box<Shard<M>>>>,
     /// Flow cells, `flows[dst * workers + src]`, written by stage 2 in
     /// disjoint per-destination chunks.
     flows: Vec<PairFlow>,
@@ -1275,10 +1281,10 @@ impl<M: Message> RouteGrid<M> {
         RouteGrid {
             workers,
             rows: (0..workers)
-                .map(|_| (0..workers).map(|_| Shard::default()).collect())
+                .map(|_| (0..workers).map(|_| Box::default()).collect())
                 .collect(),
             cols: (0..workers)
-                .map(|_| (0..workers).map(|_| Shard::default()).collect())
+                .map(|_| (0..workers).map(|_| Box::default()).collect())
                 .collect(),
             flows: vec![PairFlow::default(); workers * workers],
             sent: vec![0; workers],
@@ -1319,6 +1325,15 @@ impl<M: Message> RouteGrid<M> {
     /// The active routing policy.
     pub fn policy(&self) -> RoutePolicy {
         self.policy
+    }
+
+    /// True between rounds: every shard bucket has been merged away and
+    /// its histogram reset, so the grid can start a round (or a run).
+    pub(crate) fn is_drained(&self) -> bool {
+        self.rows
+            .iter()
+            .flatten()
+            .all(|s| s.bucket.is_empty() && s.touched.is_empty())
     }
 
     /// Route one round of traffic: drain `outboxes` into the grouped
@@ -1462,6 +1477,17 @@ impl<M: Message> RouteGrid<M> {
         }
     }
 
+    /// Swap every `rows[src][dst]` handle with `cols[dst][src]`: one
+    /// pointer swap per pair, and its own inverse, so the same call
+    /// hands the filled shards to the merge stage and takes them back.
+    fn transpose(&mut self) {
+        for (src, row) in self.rows.iter_mut().enumerate() {
+            for (dst, shard) in row.iter_mut().enumerate() {
+                std::mem::swap(shard, &mut self.cols[dst][src]);
+            }
+        }
+    }
+
     /// Stage 2 plus reduction, shared by both routing paths: transpose
     /// the shard matrix, merge each destination's column into its
     /// grouped inbox, transpose back, and fold the per-pair flows into
@@ -1475,11 +1501,7 @@ impl<M: Message> RouteGrid<M> {
         let workers = self.workers;
 
         // ---- transpose: hand each destination its shard column -----
-        for (src, row) in self.rows.iter_mut().enumerate() {
-            for (dst, shard) in row.iter_mut().enumerate() {
-                self.cols[dst][src] = std::mem::take(shard);
-            }
-        }
+        self.transpose();
 
         // ---- stage 2: grouped merge, parallel over destinations ----
         match pool {
@@ -1516,11 +1538,7 @@ impl<M: Message> RouteGrid<M> {
 
         // ---- transpose back: return drained shards (and their
         // capacity) to the stage-1 layout for the next round ---------
-        for (dst, col) in self.cols.iter_mut().enumerate() {
-            for (src, shard) in col.iter_mut().enumerate() {
-                self.rows[src][dst] = std::mem::take(shard);
-            }
-        }
+        self.transpose();
 
         // ---- reduction: fold per-pair flows into round stats -------
         self.stats.reset();
@@ -1671,7 +1689,7 @@ impl<M: Message> RouteGrid<M> {
 /// [`EmitSink`].
 pub struct ShardedOutbox<'a, M: Message> {
     src: usize,
-    shards: &'a mut [Shard<M>],
+    shards: &'a mut [Box<Shard<M>>],
     slots: &'a mut SenderSlots,
     sent: &'a mut u64,
     graph: &'a Graph,

@@ -7,14 +7,21 @@
 //! validated — while time, memory pressure, spill, and overuse are
 //! simulated (DESIGN.md §4).
 //!
+//! A runner is built once per job (or per batch executor) and executes
+//! every batch of it: the vertex addressing, the paged adjacency, the
+//! mirror index and the worker pool are built at construction, and each
+//! run brings only what changes per batch (seed, cutoff, residual
+//! memory, parallel cutover, fault plan) in its [`EngineConfig`].
+//!
 //! Large runs execute on a persistent [`WorkerPool`] owned by the
 //! runner: one long-lived thread per partition worker, onto which both
 //! the compute phase and the two routing stages are dispatched each
-//! round. No thread is ever spawned inside the round loop, and the
-//! round buffers (inboxes, outboxes, routing shards) are recycled
-//! across rounds, so a steady-state round is allocation-free on the
-//! envelope path.
+//! round. No thread is ever spawned inside the round loop or per run,
+//! and the round buffers (inboxes, outboxes, routing shards) are
+//! recycled across rounds and across runs, so a steady-state round is
+//! allocation-free on the envelope path.
 
+use crate::message::Message;
 use crate::mirror::MirrorIndex;
 use crate::paging::{PagedLayout, PagerRound, PagerSnapshot, WorkerPager};
 use crate::pool::WorkerPool;
@@ -32,8 +39,12 @@ use mtvc_graph::hash::mix64;
 use mtvc_graph::partition::{Partition, Partitioner};
 use mtvc_graph::{Graph, VertexId};
 use mtvc_metrics::{Bytes, RoundStats, RunOutcome, RunStats, SimTime, OVERLOAD_CUTOFF};
+use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::any::Any;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// Default vertex count below which the thread fan-out costs more than
 /// it saves; smaller graphs run workers sequentially on the calling
@@ -41,7 +52,10 @@ use rand::SeedableRng;
 /// [`EngineConfig::parallel_vertex_threshold`].
 pub const PARALLEL_VERTEX_THRESHOLD: usize = 65_536;
 
-/// Everything needed to execute one run.
+/// Everything needed to execute one run. A [`Runner`] is built from one
+/// config, which fixes its layout (machine count, execution mode,
+/// paging); runs may bring their own config with the same layout and
+/// different per-run fields (see [`Runner::run_slab_recycled`]).
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     pub cluster: ClusterSpec,
@@ -56,11 +70,11 @@ pub struct EngineConfig {
     /// Residual memory per worker left behind by earlier batches
     /// (§4.5/§4.7); empty = zeros.
     pub residual_bytes: Vec<u64>,
-    /// Vertex count at which (with more than one worker) the runner
-    /// builds its persistent [`WorkerPool`] and executes the compute
-    /// and routing phases in parallel. `0` forces the pool on, and
-    /// `usize::MAX` forces the serial path — benches sweep this
-    /// cutover.
+    /// Vertex count at which (with more than one worker) a run executes
+    /// the compute and routing phases in parallel on the runner's
+    /// persistent [`WorkerPool`], spawning it on first use. `0` forces
+    /// the pool on, and `usize::MAX` forces the serial path — benches
+    /// sweep this cutover.
     pub parallel_vertex_threshold: usize,
     /// Checkpoint cadence for fault-tolerant runs: with `faults` set, a
     /// snapshot of vertex states and in-flight aggregates is taken
@@ -250,9 +264,76 @@ struct DeltaRecord<D, M> {
     pagers: Vec<PagerSnapshot>,
 }
 
+/// The graph a [`Runner`] executes on: borrowed by a runner that lives
+/// inside its caller's scope, shared by one that outlives it (a batch
+/// executor kept across requests).
+enum GraphRef<'g> {
+    Borrowed(&'g Graph),
+    Shared(Arc<Graph>),
+}
+
+impl Deref for GraphRef<'_> {
+    type Target = Graph;
+
+    fn deref(&self) -> &Graph {
+        match self {
+            GraphRef::Borrowed(g) => g,
+            GraphRef::Shared(g) => g,
+        }
+    }
+}
+
+/// One run's round buffers: the routing grid and the per-worker
+/// inboxes and outboxes.
+struct RoundBuffers<M> {
+    grid: RouteGrid<M>,
+    inboxes: Vec<Inbox<M>>,
+    outboxes: Vec<Outbox<M>>,
+}
+
+/// Round buffers retired by finished runs, for the runner's next runs
+/// with the same message type: batches of a few rounds then start from
+/// shards, inboxes and outboxes already grown to their traffic instead
+/// of regrowing them from empty. A take/put pool behind a lock, like
+/// [`SlabRecycler`]: concurrent runs on one shared runner each take
+/// their own set (or a new one when none is free).
+#[derive(Default)]
+struct RoundRecycler {
+    free: Mutex<Vec<Box<dyn Any + Send>>>,
+}
+
+impl RoundRecycler {
+    fn take<M: Message>(&self, workers: usize) -> RoundBuffers<M> {
+        let retired = {
+            let mut free = self.free.lock();
+            let found = free.iter().position(|b| b.is::<RoundBuffers<M>>());
+            found.map(|i| free.swap_remove(i))
+        };
+        match retired {
+            Some(b) => *b.downcast().expect("position() matched the type"),
+            None => RoundBuffers {
+                grid: RouteGrid::new(workers),
+                inboxes: (0..workers).map(|_| Inbox::new()).collect(),
+                outboxes: (0..workers).map(|_| Outbox::new()).collect(),
+            },
+        }
+    }
+
+    /// Retire a finished run's buffers. A run that stops before its
+    /// inboxes drain (a fixed round horizon, overflow, overload) leaves
+    /// messages behind; they are dropped here, so every run starts
+    /// from empty buffers that keep their capacity.
+    fn put<M: Message>(&self, mut bufs: RoundBuffers<M>) {
+        bufs.inboxes.iter_mut().for_each(Inbox::clear);
+        bufs.outboxes.iter_mut().for_each(Outbox::clear);
+        debug_assert!(bufs.grid.is_drained(), "routing drains the grid");
+        self.free.lock().push(Box::new(bufs));
+    }
+}
+
 /// A prepared executor bound to a graph, partition, and configuration.
 pub struct Runner<'g> {
-    graph: &'g Graph,
+    graph: GraphRef<'g>,
     partition: Partition,
     mirrors: Option<MirrorIndex>,
     config: EngineConfig,
@@ -270,9 +351,23 @@ pub struct Runner<'g> {
     /// the demand assembly uses *measured* load/spill bytes instead of
     /// the resident-graph estimate.
     paged: Option<PagedLayout>,
-    /// Persistent worker threads, present iff the run qualifies for
-    /// parallel execution. Spawned once here — never per round.
-    pool: Option<WorkerPool>,
+    /// Persistent worker threads: spawned at construction when the
+    /// config qualifies for parallel execution, else by the first run
+    /// that does — never per round or per run.
+    pool: OnceLock<WorkerPool>,
+    /// Round buffers recycled across this runner's runs.
+    rounds: RoundRecycler,
+}
+
+impl std::fmt::Debug for Runner<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Runner")
+            .field("workers", &self.partition.num_workers())
+            .field("vertices", &self.graph.num_vertices())
+            .field("paged", &self.paged.is_some())
+            .field("pool", &self.pool.get())
+            .finish()
+    }
 }
 
 impl<'g> Runner<'g> {
@@ -293,20 +388,29 @@ impl<'g> Runner<'g> {
         partition: Partition,
         config: EngineConfig,
     ) -> Runner<'g> {
+        Self::build(GraphRef::Borrowed(graph), partition, config)
+    }
+
+    /// Prepare a runner that shares ownership of its graph, so it can
+    /// be kept (and shared across threads) beyond any borrow.
+    pub fn shared(
+        graph: Arc<Graph>,
+        partition: Partition,
+        config: EngineConfig,
+    ) -> Runner<'static> {
+        Runner::build(GraphRef::Shared(graph), partition, config)
+    }
+
+    fn build(graph: GraphRef<'g>, partition: Partition, config: EngineConfig) -> Runner<'g> {
         assert_eq!(
             partition.num_workers(),
             config.cluster.machines,
             "partition workers must match cluster machines"
         );
         assert_eq!(partition.num_vertices(), graph.num_vertices());
-        assert!(
-            config.residual_bytes.is_empty()
-                || config.residual_bytes.len() == partition.num_workers(),
-            "residual_bytes must be empty or per-worker"
-        );
         let mirrors = match config.profile.mode {
             ExecutionMode::Broadcast { mirror_threshold } => {
-                Some(MirrorIndex::build(graph, &partition, mirror_threshold))
+                Some(MirrorIndex::build(&graph, &partition, mirror_threshold))
             }
             ExecutionMode::PointToPoint => None,
         };
@@ -326,13 +430,10 @@ impl<'g> Runner<'g> {
         // restricted to point-to-point profiles; anything else keeps
         // the demand-based estimate.
         let paged = match (&mirrors, config.profile.out_of_core.and_then(|o| o.paging)) {
-            (None, Some(pcfg)) => Some(PagedLayout::build(graph, locals.worker_vertices(), pcfg)),
+            (None, Some(pcfg)) => Some(PagedLayout::build(&graph, locals.worker_vertices(), pcfg)),
             _ => None,
         };
-        let pool = (partition.num_workers() > 1
-            && graph.num_vertices() >= config.parallel_vertex_threshold)
-            .then(|| WorkerPool::new(partition.num_workers()));
-        Runner {
+        let runner = Runner {
             graph,
             partition,
             mirrors,
@@ -340,8 +441,15 @@ impl<'g> Runner<'g> {
             locals,
             graph_bytes,
             paged,
-            pool,
-        }
+            pool: OnceLock::new(),
+            rounds: RoundRecycler::default(),
+        };
+        runner.pool_for(runner.config.parallel_vertex_threshold);
+        runner
+    }
+
+    pub fn graph(&self) -> &Graph {
+        &self.graph
     }
 
     pub fn partition(&self) -> &Partition {
@@ -352,11 +460,22 @@ impl<'g> Runner<'g> {
         &self.config
     }
 
-    /// The persistent worker pool, if this run qualifies for parallel
-    /// execution (more than one worker and a graph at or above
-    /// [`EngineConfig::parallel_vertex_threshold`]).
+    /// The persistent worker pool, if it has been spawned: at
+    /// construction when the config qualifies for parallel execution
+    /// (more than one worker and a graph at or above
+    /// [`EngineConfig::parallel_vertex_threshold`]), else by the first
+    /// run that does.
     pub fn pool(&self) -> Option<&WorkerPool> {
-        self.pool.as_ref()
+        self.pool.get()
+    }
+
+    /// The pool a run with parallel cutover `threshold` executes on
+    /// (spawned now if this is the first such run), or `None` for the
+    /// serial path.
+    fn pool_for(&self, threshold: usize) -> Option<&WorkerPool> {
+        let workers = self.partition.num_workers();
+        (workers > 1 && self.graph.num_vertices() >= threshold)
+            .then(|| self.pool.get_or_init(|| WorkerPool::new(workers)))
     }
 
     /// The paged-adjacency layout, if this runner executes the real
@@ -368,35 +487,62 @@ impl<'g> Runner<'g> {
     /// Execute `program` to completion (quiescence, fixed round bound,
     /// overload cutoff, or overflow).
     pub fn run<P: VertexProgram>(&self, program: &P) -> RunResult<P::State> {
-        self.run_core(&PerVertex(program))
+        self.run_core(&PerVertex(program), &self.config)
     }
 
     /// Execute a slab-backed program ([`SlabProgram`]): one dense
     /// [`StateSlab`](crate::slab::StateSlab) per worker instead of
     /// per-vertex state values, with exact state-byte accounting.
     pub fn run_slab<P: SlabProgram>(&self, program: &P) -> RunResult<P::Out> {
-        self.run_core(&PerSlab::new(program))
+        self.run_core(&PerSlab::new(program), &self.config)
     }
 
-    /// [`Runner::run_slab`], drawing worker slabs from (and retiring
-    /// them to) `recycler` so consecutive batches reuse allocations.
+    /// One batch of a job on this runner: [`Runner::run_slab`] under
+    /// the batch's own `config`, drawing worker slabs from (and
+    /// retiring them to) `recycler` so consecutive batches reuse
+    /// allocations. `config` must keep the runner's layout — machine
+    /// count, execution mode and paging — and supplies everything else:
+    /// seed, cutoff, residual memory, parallel cutover, checkpointing,
+    /// fault plan and pricing.
     pub fn run_slab_recycled<P: SlabProgram>(
         &self,
         program: &P,
         recycler: &SlabRecycler<P::Cell>,
+        config: &EngineConfig,
     ) -> RunResult<P::Out> {
-        self.run_core(&PerSlab::with_recycler(program, recycler))
+        self.run_core(&PerSlab::with_recycler(program, recycler), config)
+    }
+
+    /// Panic unless `cfg` describes the layout this runner was built
+    /// for; the per-run fields are free.
+    fn check_run_config(&self, cfg: &EngineConfig) {
+        let workers = self.partition.num_workers();
+        assert_eq!(
+            cfg.cluster.machines, workers,
+            "a run's cluster must match the runner's partition"
+        );
+        let paging = |c: &EngineConfig| c.profile.out_of_core.and_then(|o| o.paging);
+        assert!(
+            cfg.profile.mode == self.config.profile.mode && paging(cfg) == paging(&self.config),
+            "a run must keep the runner's execution mode and paging layout"
+        );
+        assert!(
+            cfg.residual_bytes.is_empty() || cfg.residual_bytes.len() == workers,
+            "residual_bytes must be empty or per-worker"
+        );
     }
 
     /// The round loop, generic over how worker state is stored
     /// ([`ProgramCore`]). Everything observable — traffic, pricing,
     /// checkpointing, fault recovery — is identical across store
     /// shapes; only state addressing and accounting differ.
-    fn run_core<C: ProgramCore>(&self, program: &C) -> RunResult<C::Out> {
+    fn run_core<C: ProgramCore>(&self, program: &C, cfg: &EngineConfig) -> RunResult<C::Out> {
+        self.check_run_config(cfg);
         let workers = self.partition.num_workers();
-        let profile = &self.config.profile;
-        let cost = &self.config.cost;
-        let spec = &self.config.cluster.machine;
+        let profile = &cfg.profile;
+        let cost = &cfg.cost;
+        let spec = &cfg.cluster.machine;
+        let pool = self.pool_for(cfg.parallel_vertex_threshold);
         let msg_bytes = program.message_bytes();
         let async_mode = matches!(profile.sync, SyncMode::Asynchronous);
 
@@ -423,14 +569,17 @@ impl<'g> Runner<'g> {
 
         let mut stats = RunStats::new();
         let mut total = SimTime::ZERO;
-        // Round buffers, all recycled across rounds: the compute phase
-        // drains the inboxes in place, the shard stage drains the
+        // Round buffers, recycled across rounds and runs: the compute
+        // phase drains the inboxes in place, the shard stage drains the
         // outboxes in place, and the merge stage refills the inboxes —
-        // every Vec keeps the capacity last round's traffic shaped.
-        let mut inboxes: Vec<Inbox<C::Message>> = (0..workers).map(|_| Inbox::new()).collect();
-        let mut outboxes: Vec<Outbox<C::Message>> = (0..workers).map(|_| Outbox::new()).collect();
-        let mut grid: RouteGrid<C::Message> = RouteGrid::new(workers);
-        grid.set_policy(profile.route_policy(self.config.faults.is_some()));
+        // every Vec keeps the capacity earlier traffic shaped. Setting
+        // the policy resets the grid's adaptive-combining state.
+        let RoundBuffers {
+            mut grid,
+            mut inboxes,
+            mut outboxes,
+        } = self.rounds.take::<C::Message>(workers);
+        grid.set_policy(profile.route_policy(cfg.faults.is_some()));
         // Delivered-message statistics of the previous routing step:
         // those messages are processed (and their buffers are resident)
         // in the *current* round.
@@ -444,7 +593,7 @@ impl<'g> Runner<'g> {
         // plan is armed — checkpoints snapshot states by value and must
         // see every row resident.
         let mut pagers: Option<Vec<WorkerPager>> = self.paged.as_ref().map(|l| l.make_pagers());
-        if self.config.faults.is_some() {
+        if cfg.faults.is_some() {
             if let Some(ps) = pagers.as_mut() {
                 for p in ps.iter_mut() {
                     p.disable_state_paging();
@@ -454,10 +603,10 @@ impl<'g> Runner<'g> {
 
         // Fault machinery, armed only when a plan is present — the
         // clean path takes no snapshots and pays no per-round checks.
-        let mut injector = self.config.faults.as_ref().map(FaultInjector::new);
+        let mut injector = cfg.faults.as_ref().map(FaultInjector::new);
         let hard_oom = injector.as_ref().is_some_and(|i| i.hard_oom());
-        let ckpt_every = self.config.checkpoint_every.max(1);
-        let incremental = self.config.incremental_checkpoints;
+        let ckpt_every = cfg.checkpoint_every.max(1);
+        let incremental = cfg.incremental_checkpoints;
         let mut checkpoint: Option<Checkpoint<C::Store, C::Message>> = None;
         // Incremental mode: deltas since the base snapshot, plus a
         // shadow store mirroring "base + all deltas" so each new delta
@@ -484,7 +633,7 @@ impl<'g> Runner<'g> {
                     }
                 }
             }
-            if round > self.config.max_rounds {
+            if round > cfg.max_rounds {
                 outcome = Some(RunOutcome::Overload);
                 break;
             }
@@ -669,6 +818,8 @@ impl<'g> Runner<'g> {
                 self.compute_phase_presharded(
                     program,
                     round,
+                    cfg.seed,
+                    pool,
                     &mut inboxes,
                     &mut grid,
                     &mut states,
@@ -679,6 +830,8 @@ impl<'g> Runner<'g> {
                 let active = self.compute_phase(
                     program,
                     round,
+                    cfg.seed,
+                    pool,
                     &mut inboxes,
                     &mut outboxes,
                     &mut states,
@@ -724,7 +877,7 @@ impl<'g> Runner<'g> {
             // ---- routing phase -------------------------------------
             let routing = if fold_at_send {
                 grid.route_presharded(
-                    self.pool.as_ref(),
+                    pool,
                     &mut inboxes,
                     &self.locals,
                     msg_bytes,
@@ -732,10 +885,10 @@ impl<'g> Runner<'g> {
                 )
             } else {
                 grid.route_round(
-                    self.pool.as_ref(),
+                    pool,
                     &mut outboxes,
                     &mut inboxes,
-                    self.graph,
+                    &self.graph,
                     &self.partition,
                     &self.locals,
                     self.mirrors.as_ref(),
@@ -769,6 +922,7 @@ impl<'g> Runner<'g> {
                 &prev_in_bytes,
                 routing,
                 &state_bytes,
+                &cfg.residual_bytes,
                 msg_bytes,
                 async_mode,
                 paged_rounds.as_deref(),
@@ -903,7 +1057,7 @@ impl<'g> Runner<'g> {
                             disk_busy: charge.disk_busy,
                             io_queue_len: charge.io_queue_len,
                         });
-                        if total > self.config.cutoff {
+                        if total > cfg.cutoff {
                             outcome = Some(RunOutcome::Overload);
                             break;
                         }
@@ -917,6 +1071,11 @@ impl<'g> Runner<'g> {
             prev_in_bytes.copy_from_slice(&routing.in_buffer_bytes);
             round += 1;
         }
+        self.rounds.put(RoundBuffers {
+            grid,
+            inboxes,
+            outboxes,
+        });
 
         // Page back any slab state still on the store so the flattened
         // outputs see every row. This is post-run repatriation, not
@@ -949,19 +1108,22 @@ impl<'g> Runner<'g> {
     /// into its worker's outbox; returns per-worker active-vertex
     /// counts. With a pool, worker `w` always executes on pool thread
     /// `w`.
+    #[allow(clippy::too_many_arguments)]
     fn compute_phase<C: ProgramCore>(
         &self,
         program: &C,
         round: usize,
+        seed: u64,
+        pool: Option<&WorkerPool>,
         inboxes: &mut [Inbox<C::Message>],
         outboxes: &mut [Outbox<C::Message>],
         states: &mut [C::Store],
         pagers: Option<&mut Vec<WorkerPager>>,
     ) -> Vec<u64> {
-        let seed = self.config.seed;
         let mut active = vec![0u64; states.len()];
         let slots = pager_slots(pagers, states.len());
-        match &self.pool {
+        let graph: &Graph = &self.graph;
+        match pool {
             Some(pool) => {
                 pool.scope(|s| {
                     for (w, ((((inbox, outbox), worker_states), slot), pager)) in inboxes
@@ -972,7 +1134,6 @@ impl<'g> Runner<'g> {
                         .zip(slots)
                         .enumerate()
                     {
-                        let graph = self.graph;
                         let vertices = &self.locals.worker_vertices()[w];
                         s.run_on(w, move || {
                             outbox.clear();
@@ -1017,7 +1178,7 @@ impl<'g> Runner<'g> {
                     *slot = match pager {
                         Some(pager) => worker_pass_paged(
                             program,
-                            self.graph,
+                            graph,
                             round,
                             seed,
                             vertices,
@@ -1028,7 +1189,7 @@ impl<'g> Runner<'g> {
                         ),
                         None => worker_pass(
                             program,
-                            self.graph,
+                            graph,
                             round,
                             seed,
                             vertices,
@@ -1055,24 +1216,26 @@ impl<'g> Runner<'g> {
         &self,
         program: &C,
         round: usize,
+        seed: u64,
+        pool: Option<&WorkerPool>,
         inboxes: &mut [Inbox<C::Message>],
         grid: &mut RouteGrid<C::Message>,
         states: &mut [C::Store],
         msg_bytes: u64,
         pagers: Option<&mut Vec<WorkerPager>>,
     ) -> (Vec<u64>, Vec<u64>) {
-        let seed = self.config.seed;
         let mut active = vec![0u64; states.len()];
         let mut state_added = vec![0u64; states.len()];
         let slots = pager_slots(pagers, states.len());
+        let graph: &Graph = &self.graph;
         let sinks = grid.emit_sinks(
-            self.graph,
+            graph,
             &self.partition,
             &self.locals,
             self.mirrors.as_ref(),
             msg_bytes,
         );
-        match &self.pool {
+        match pool {
             Some(pool) => {
                 pool.scope(|s| {
                     for (w, (((((inbox, mut sink), worker_states), slot), added), pager)) in inboxes
@@ -1084,7 +1247,6 @@ impl<'g> Runner<'g> {
                         .zip(slots)
                         .enumerate()
                     {
-                        let graph = self.graph;
                         let vertices = &self.locals.worker_vertices()[w];
                         s.run_on(w, move || {
                             *slot = match pager {
@@ -1129,7 +1291,7 @@ impl<'g> Runner<'g> {
                     *slot = match pager {
                         Some(pager) => worker_pass_paged(
                             program,
-                            self.graph,
+                            graph,
                             round,
                             seed,
                             vertices,
@@ -1140,7 +1302,7 @@ impl<'g> Runner<'g> {
                         ),
                         None => worker_pass(
                             program,
-                            self.graph,
+                            graph,
                             round,
                             seed,
                             vertices,
@@ -1168,6 +1330,7 @@ impl<'g> Runner<'g> {
         prev_in_bytes: &[u64],
         routing: &RoutingStats,
         state_bytes: &[u64],
+        residual_bytes: &[u64],
         msg_bytes: u64,
         async_mode: bool,
         paged: Option<&[(PagerRound, u64)]>,
@@ -1203,8 +1366,8 @@ impl<'g> Runner<'g> {
             let resident_state =
                 state_bytes[w].saturating_sub(paged_w.map_or(0, |(_, evicted)| evicted));
             let mut memory = (resident_state as f64 * profile.mem_overhead_factor) as u64;
-            if !self.config.residual_bytes.is_empty() {
-                memory += self.config.residual_bytes[w];
+            if !residual_bytes.is_empty() {
+                memory += residual_bytes[w];
             }
             match profile.out_of_core {
                 Some(ooc) => {
@@ -2078,6 +2241,41 @@ mod tests {
     }
 
     #[test]
+    fn first_parallel_run_spawns_the_pool_once() {
+        let g = generators::ring(64, true);
+        let runner = Runner::new(
+            &g,
+            &HashPartitioner::default(),
+            config(4).with_parallel_threshold(usize::MAX),
+        );
+        let program = SlabFlood { width: 2 };
+        let slabs = SlabRecycler::new();
+        let serial = runner.run_slab_recycled(&program, &slabs, runner.config());
+        assert!(runner.pool().is_none(), "serial runs never spawn it");
+        let cfg = runner.config().clone().with_parallel_threshold(1);
+        let pooled = runner.run_slab_recycled(&program, &slabs, &cfg);
+        let ids = runner.pool().expect("a parallel run spawns the pool");
+        let ids = ids.thread_ids().to_vec();
+        runner.run_slab_recycled(&program, &slabs, &cfg);
+        assert_eq!(runner.pool().unwrap().thread_ids(), &ids[..]);
+        assert_eq!(serial.outcome, pooled.outcome);
+        assert_eq!(serial.stats, pooled.stats);
+        assert_eq!(serial.states, pooled.states);
+    }
+
+    #[test]
+    #[should_panic(expected = "execution mode and paging layout")]
+    fn a_run_cannot_change_the_layout() {
+        let g = generators::ring(16, true);
+        let runner = Runner::new(&g, &HashPartitioner::default(), config(2));
+        let mut cfg = runner.config().clone();
+        cfg.profile.mode = ExecutionMode::Broadcast {
+            mirror_threshold: 4,
+        };
+        runner.run_slab_recycled(&SlabFlood { width: 1 }, &SlabRecycler::new(), &cfg);
+    }
+
+    #[test]
     fn pooled_pipeline_matches_serial_pipeline() {
         let g = generators::power_law(400, 1600, 2.3, 11);
         let serial = Runner::new(
@@ -2305,34 +2503,47 @@ mod tests {
         let program = TracingFlood {
             log: Mutex::new(Vec::new()),
         };
-        let result = runner.run(&program);
-        assert!(result.outcome.is_completed());
+        // Several runs on one runner, as the batches of a job: every
+        // round of every run computes on the same pool threads.
+        let mut first: Option<std::collections::HashSet<ThreadId>> = None;
+        for run in 0..3 {
+            let result = runner.run(&program);
+            assert!(result.outcome.is_completed());
 
-        let log = program.log.into_inner().unwrap();
-        let rounds = log.iter().map(|&(r, _)| r).max().unwrap();
-        assert!(rounds >= 8, "flood over a 64-ring runs many rounds");
-        let ids_in = |r: usize| -> std::collections::HashSet<ThreadId> {
-            log.iter()
-                .filter(|&&(round, _)| round == r)
-                .map(|&(_, id)| id)
-                .collect()
-        };
-        let first = ids_in(0);
-        assert!(!first.is_empty());
-        assert!(
-            first.is_subset(&pool_ids),
-            "compute must run on pool threads"
-        );
-        for r in 1..=rounds {
-            let ids = ids_in(r);
-            if ids.is_empty() {
-                continue; // quiescent tail round
-            }
+            let log = std::mem::take(&mut *program.log.lock().unwrap());
+            let rounds = log.iter().map(|&(r, _)| r).max().unwrap();
+            assert!(rounds >= 8, "flood over a 64-ring runs many rounds");
+            let ids_in = |r: usize| -> std::collections::HashSet<ThreadId> {
+                log.iter()
+                    .filter(|&&(round, _)| round == r)
+                    .map(|&(_, id)| id)
+                    .collect()
+            };
+            let first = first.get_or_insert_with(|| ids_in(0));
+            assert!(!first.is_empty());
             assert!(
-                ids.is_subset(&first),
-                "round {r} ran on threads outside round 0's set"
+                first.is_subset(&pool_ids),
+                "compute must run on pool threads"
             );
+            for r in 0..=rounds {
+                let ids = ids_in(r);
+                if ids.is_empty() {
+                    continue; // quiescent tail round
+                }
+                assert!(
+                    ids.is_subset(first),
+                    "run {run} round {r} ran on threads outside the first run's set"
+                );
+            }
         }
+        let after: std::collections::HashSet<ThreadId> = runner
+            .pool()
+            .unwrap()
+            .thread_ids()
+            .iter()
+            .copied()
+            .collect();
+        assert_eq!(after, pool_ids, "no run respawns the pool");
     }
 
     #[test]

@@ -4,10 +4,10 @@
 use mtvc_cluster::{ChaosMix, ClusterSpec, FaultPlan};
 use mtvc_engine::sampling::{binomial, multinomial_uniform};
 use mtvc_engine::{
-    route_with, wire, Context, Delivery, EmitSink, EngineConfig, Envelope, Inbox, LocalIndex,
-    Message, MirrorIndex, OocConfig, Outbox, PagingConfig, PartitionSchedule, PayloadCodec,
-    RouteGrid, RoutePolicy, Runner, SlabProgram, SlabRecycler, SlabRowMut, StateSlab, StoreKind,
-    SystemProfile, VertexProgram, WireFormat, WorkerPool, LANES,
+    route_with, wire, Context, Delivery, EmitSink, EngineConfig, Envelope, ExecutionMode, Inbox,
+    LocalIndex, Message, MirrorIndex, OocConfig, Outbox, PagingConfig, PartitionSchedule,
+    PayloadCodec, RouteGrid, RoutePolicy, Runner, SlabProgram, SlabRecycler, SlabRowMut, StateSlab,
+    StoreKind, SystemProfile, VertexProgram, WireFormat, WorkerPool, LANES,
 };
 use mtvc_graph::partition::{HashPartitioner, Partitioner};
 use mtvc_graph::{generators, VertexId};
@@ -855,9 +855,9 @@ proptest! {
 
         let fresh = runner.run_slab(&prog);
         let recycler: SlabRecycler<u64> = SlabRecycler::new();
-        let first = runner.run_slab_recycled(&prog, &recycler);
+        let first = runner.run_slab_recycled(&prog, &recycler, runner.config());
         prop_assert_eq!(recycler.pooled(), workers, "all slabs returned");
-        let second = runner.run_slab_recycled(&prog, &recycler);
+        let second = runner.run_slab_recycled(&prog, &recycler, runner.config());
         prop_assert_eq!(recycler.pooled(), workers, "pool is stable");
 
         prop_assert_eq!(&fresh.stats, &first.stats);
@@ -1191,5 +1191,196 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
         let _ = wire::try_decode_bucket::<Keyed>(&bytes, |li| li);
+    }
+}
+
+/// A fixed-horizon slab program with a second message type: every
+/// vertex broadcasts one keyed token per lane every round, and the run
+/// stops at the horizon with its last deliveries still in the inboxes —
+/// the exit BKHS takes.
+struct SlabTokens {
+    width: usize,
+    rounds: usize,
+}
+
+impl SlabTokens {
+    fn emit(&self, v: VertexId, ctx: &mut Context<'_, Keyed>) {
+        for q in 0..self.width {
+            let val = (v as u64 + q as u64) % 7 + 1;
+            ctx.broadcast(
+                Keyed {
+                    key: Some(q as u64),
+                    val,
+                },
+                1,
+            );
+        }
+    }
+}
+
+impl SlabProgram for SlabTokens {
+    type Message = Keyed;
+    type Cell = u64;
+    type Out = Vec<u64>;
+
+    fn width(&self) -> usize {
+        self.width
+    }
+
+    fn empty_cell(&self) -> u64 {
+        0
+    }
+
+    fn message_bytes(&self) -> u64 {
+        12
+    }
+
+    fn init(&self, v: VertexId, _row: SlabRowMut<'_, u64>, ctx: &mut Context<'_, Keyed>) {
+        self.emit(v, ctx);
+    }
+
+    fn compute(
+        &self,
+        v: VertexId,
+        mut row: SlabRowMut<'_, u64>,
+        inbox: &[Delivery<Keyed>],
+        ctx: &mut Context<'_, Keyed>,
+    ) {
+        for d in inbox {
+            let q = d.msg.key.expect("tokens are keyed") as usize;
+            *row.cell_mut(q) += d.msg.val * d.mult;
+        }
+        self.emit(v, ctx);
+    }
+
+    fn extract(&self, _v: VertexId, row: &[u64]) -> Vec<u64> {
+        row.to_vec()
+    }
+
+    fn max_rounds(&self) -> Option<usize> {
+        Some(self.rounds)
+    }
+}
+
+/// A result from a reused runner must equal the fresh runner's in
+/// outcome, every statistic and every final state.
+fn same_run<S: PartialEq + std::fmt::Debug>(
+    batch: usize,
+    reused: &mtvc_engine::RunResult<S>,
+    fresh: &mtvc_engine::RunResult<S>,
+) -> Result<(), proptest::TestCaseError> {
+    prop_assert_eq!(&reused.outcome, &fresh.outcome, "batch {}", batch);
+    prop_assert_eq!(&reused.stats, &fresh.stats, "batch {}", batch);
+    prop_assert_eq!(&reused.states, &fresh.states, "batch {}", batch);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One runner executes a sequence of batches, as a job or a batch
+    /// executor does: its layout, pool and round buffers (routing grid,
+    /// inboxes, outboxes) are reused from batch to batch, and its slabs
+    /// come from one recycler. Every batch must equal the same batch on
+    /// a fresh runner — across programs, widths and message types;
+    /// paged, resident and mirrored layouts; combining and wire format;
+    /// pooled and serial runs; armed fault plans (rollback-replay); and
+    /// the early exits that leave messages in the buffers: a fixed
+    /// round horizon, an overflow and an overload.
+    #[test]
+    fn recycled_context_run_equals_fresh_run(
+        n in 16usize..80,
+        workers in 2usize..5,
+        layout in 0u8..3,
+        batches in prop::collection::vec(
+            (0u8..6, 1usize..6, any::<u8>(), any::<u64>()),
+            2..6,
+        ),
+        seed in any::<u64>(),
+    ) {
+        let g = generators::power_law(n, n * 4, 2.4, seed);
+        let partitioner = HashPartitioner { salt: seed };
+        let mut base = EngineConfig::new(ClusterSpec::galaxy(workers), SystemProfile::base("t"));
+        base.cutoff = SimTime::secs(1e12);
+        match layout {
+            0 => {}
+            1 => {
+                base.profile.out_of_core = Some(OocConfig {
+                    message_budget: Bytes::new(512),
+                    stream_edges: true,
+                    paging: Some(PagingConfig {
+                        budget: Bytes::new(1024),
+                        partition_bytes: Bytes::new(256),
+                        schedule: PartitionSchedule::FrontierDensity,
+                        page_state: false,
+                        store: StoreKind::Memory,
+                    }),
+                })
+            }
+            _ => {
+                base.profile.mode = ExecutionMode::Broadcast { mirror_threshold: 4 };
+            }
+        }
+        let runner = Runner::new(&g, &partitioner, base.clone());
+        let slabs: SlabRecycler<u64> = SlabRecycler::new();
+
+        for (b, &(kind, width, flags, bseed)) in batches.iter().enumerate() {
+            let mut cfg = base.clone();
+            cfg.seed = bseed;
+            cfg.profile.combiner = flags & 1 != 0;
+            if flags & 2 != 0 {
+                cfg.profile.wire_format = WireFormat::Compact;
+            }
+            cfg.parallel_vertex_threshold = if flags & 4 != 0 { 0 } else { usize::MAX };
+            cfg.residual_bytes = (0..workers as u64).map(|w| (bseed >> w) % 4096).collect();
+            let sources: Vec<VertexId> =
+                (0..width).map(|q| ((q * 7 + b + 1) % n) as VertexId).collect();
+            let mssp = MiniSlabMssp { sources: sources.clone() };
+            let tokens = SlabTokens { width, rounds: 1 + (bseed % 4) as usize };
+            match kind {
+                2 => {
+                    let mix = ChaosMix {
+                        crashes: 1,
+                        losses: 1,
+                        stragglers: 1,
+                        partitions: 1,
+                        corruptions: 1,
+                    };
+                    cfg.faults = Some(FaultPlan::chaos(bseed, workers, 6, mix));
+                    cfg.checkpoint_every = 2;
+                }
+                3 => cfg.cluster.machine.memory = Bytes::new(1),
+                4 => cfg.cutoff = SimTime::secs(1e-9),
+                _ => {}
+            }
+            match kind {
+                1 | 3 => {
+                    let reused = runner.run_slab_recycled(&tokens, &slabs, &cfg);
+                    if kind == 3 {
+                        prop_assert!(reused.outcome.is_overflow(), "batch {}", b);
+                    }
+                    let fresh = Runner::new(&g, &partitioner, cfg).run_slab(&tokens);
+                    same_run(b, &reused, &fresh)?
+                }
+                5 => {
+                    // A per-vertex program runs under the runner's own
+                    // config, between the slab batches.
+                    let program = mtvc_tasks_free_mssp(sources);
+                    let fresh = Runner::new(&g, &partitioner, base.clone()).run(&program);
+                    same_run(b, &runner.run(&program), &fresh)?
+                }
+                _ => {
+                    let reused = runner.run_slab_recycled(&mssp, &slabs, &cfg);
+                    if kind == 2 {
+                        prop_assert!(reused.stats.faults.injected > 0, "batch {}", b);
+                    }
+                    if kind == 4 {
+                        prop_assert!(reused.outcome.is_overload(), "batch {}", b);
+                    }
+                    let fresh = Runner::new(&g, &partitioner, cfg).run_slab(&mssp);
+                    same_run(b, &reused, &fresh)?
+                }
+            }
+        }
     }
 }
