@@ -1,15 +1,12 @@
-//! End-to-end round-loop microbenchmark: compute + route per round,
-//! current engine hot path (sender combining + grouped delivery) vs the
-//! pre-PR replica (merge-stage sort combining + counting-sort regroup +
-//! per-delivery clones), on MSSP and BPPR with combining on and off.
+//! End-to-end round-loop microbenchmark: compute + route per round on
+//! the engine's routing pipeline (fold-at-send combining + grouped
+//! delivery), on MSSP and BPPR with combining on and off.
 //!
-//! Single-threaded by design — the delta isolates the envelope-path
-//! rework, not thread scaling. `--test` runs every routine once for CI
-//! smoke. `bench_pr3` (a bin in this crate) runs the same drivers under
-//! a counting allocator and emits `BENCH_pr3.json`.
+//! Single-threaded by design — the numbers measure the envelope path,
+//! not thread scaling. `--test` runs every routine once for CI smoke.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mtvc_bench::round_loop::{drive_current, drive_legacy, drive_slab_recycled};
+use mtvc_bench::round_loop::{drive_current, drive_slab_recycled};
 use mtvc_engine::{LocalIndex, SlabRecycler};
 use mtvc_graph::partition::{HashPartitioner, Partitioner};
 use mtvc_graph::{generators, VertexId};
@@ -39,7 +36,7 @@ fn bench_round_loop(c: &mut Criterion) {
 
     for combine in [false, true] {
         let tag = if combine { "combine" } else { "nocombine" };
-        c.bench_function(&format!("round_loop_mssp_current_{tag}"), |b| {
+        c.bench_function(&format!("round_loop_mssp_{tag}"), |b| {
             b.iter(|| {
                 black_box(drive_current(
                     &mssp,
@@ -52,35 +49,9 @@ fn bench_round_loop(c: &mut Criterion) {
                 ))
             })
         });
-        c.bench_function(&format!("round_loop_mssp_legacy_{tag}"), |b| {
-            b.iter(|| {
-                black_box(drive_legacy(
-                    &mssp,
-                    &g,
-                    &part,
-                    &locals,
-                    combine,
-                    SEED,
-                    |_| {},
-                ))
-            })
-        });
-        c.bench_function(&format!("round_loop_bppr_current_{tag}"), |b| {
+        c.bench_function(&format!("round_loop_bppr_{tag}"), |b| {
             b.iter(|| {
                 black_box(drive_current(
-                    &bppr,
-                    &g,
-                    &part,
-                    &locals,
-                    combine,
-                    SEED,
-                    |_| {},
-                ))
-            })
-        });
-        c.bench_function(&format!("round_loop_bppr_legacy_{tag}"), |b| {
-            b.iter(|| {
-                black_box(drive_legacy(
                     &bppr,
                     &g,
                     &part,

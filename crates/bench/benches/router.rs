@@ -1,20 +1,24 @@
 //! Routing-pipeline microbenchmark: serial reference `route` vs the
-//! two-stage [`RouteGrid`] on a persistent [`WorkerPool`], with and
+//! presharded [`RouteGrid`] on a persistent [`WorkerPool`], with and
 //! without combining.
 //!
 //! Traffic is one synthetic "congestion round" over a 100k-vertex
 //! power-law graph on 4 workers: every vertex sends to each of its
 //! out-neighbors (keyed by source, so combining has real work to do).
-//! The grid variant reuses its shard/scratch buffers across iterations,
-//! exactly as `Runner::run` does across rounds, so the numbers include
-//! the zero-churn benefit.
+//! The grid variant replays the traffic through its emit sinks
+//! (`begin_round` → `emit_sinks` → `route_presharded`, as the compute
+//! phase would emit it) and reuses its shard/scratch buffers across
+//! iterations, exactly as `Runner::run` does across rounds, so the
+//! numbers include the zero-churn benefit.
 //!
 //! The ≥2× shard/merge speedup needs ≥4 hardware cores; on fewer cores
 //! the pooled variant measures pipeline overhead instead (lanes time-
 //! slice a single core). `--test` runs every routine once for CI smoke.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use mtvc_engine::{route, Envelope, Inbox, LocalIndex, Message, Outbox, RouteGrid, WorkerPool};
+use mtvc_engine::{
+    route, Envelope, Inbox, LocalIndex, Message, Outbox, RouteGrid, WireFormat, WorkerPool,
+};
 use mtvc_graph::partition::{HashPartitioner, Partition, Partitioner};
 use mtvc_graph::{generators, Graph};
 use std::hint::black_box;
@@ -81,9 +85,18 @@ fn bench_router(c: &mut Criterion) {
                 || outboxes.clone(),
                 |obs| {
                     black_box(
-                        route(obs, &g, &part, &locals, None, combine, MSG_BYTES)
-                            .1
-                            .sent_wire,
+                        route(
+                            obs,
+                            &g,
+                            &part,
+                            &locals,
+                            None,
+                            combine,
+                            MSG_BYTES,
+                            WireFormat::Tuples,
+                        )
+                        .1
+                        .sent_wire,
                     )
                 },
                 BatchSize::LargeInput,
@@ -96,19 +109,17 @@ fn bench_router(c: &mut Criterion) {
         c.bench_function(&format!("route_grid_pooled_{tag}"), |b| {
             b.iter_batched(
                 || outboxes.clone(),
-                |mut obs| {
+                |obs| {
                     inboxes.iter_mut().for_each(|i| i.clear());
-                    let stats = grid.route_round(
-                        Some(&pool),
-                        &mut obs,
-                        &mut inboxes,
-                        &g,
-                        &part,
-                        &locals,
-                        None,
-                        combine,
-                        MSG_BYTES,
-                    );
+                    grid.begin_round(combine, WireFormat::Tuples, &locals);
+                    for (mut sink, mut ob) in grid
+                        .emit_sinks(&g, &part, &locals, None, MSG_BYTES)
+                        .zip(obs)
+                    {
+                        ob.drain_into(&mut sink);
+                    }
+                    let stats =
+                        grid.route_presharded(Some(&pool), &mut inboxes, &locals, MSG_BYTES);
                     black_box(stats.sent_wire)
                 },
                 BatchSize::LargeInput,

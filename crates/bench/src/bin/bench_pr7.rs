@@ -7,14 +7,10 @@
 //!
 //! * `mssp_scalar_nocombine_w{W}` / `mssp_scalar_combine_w{W}` — the
 //!   PR 5 baseline configurations ([`MsspSlabProgram`], tuple wire)
-//!   re-measured on this host; `combine` is the configuration whose
-//!   W=64 regression this PR fixes.
-//! * `mssp_scalar_adaptive_w{W}` — static combiner replaced by the
-//!   adaptive per-(worker, round) toggle: tracks `nocombine` where
-//!   combining loses and `combine` where it wins.
-//! * `mssp_lane_full_w{W}` — the full PR 7 hot path and the headline
-//!   cell: [`MsspLaneSlabProgram`] (one envelope relaxes eight query
-//!   lanes), adaptive combining (chunk keys fold ~3x better than
+//!   re-measured on the running host.
+//! * `mssp_lane_combine_w{W}` — the headline cell:
+//!   [`MsspLaneSlabProgram`] (one envelope relaxes eight query lanes),
+//!   static sender-side combining (chunk keys fold ~3x better than
 //!   scalar keys), and [`WireFormat::Compact`] (the router charges
 //!   real post-codec bucket bytes).
 //! * `mssp_lane_compact_w{W}` — lane kernels + compact wire with the
@@ -23,20 +19,18 @@
 //! Every cell is pinned to its siblings on rounds and `sent_wire`
 //! (lane batching and combining both conserve pre-fold payload units),
 //! and every compact cell must measure strictly fewer encoded bytes
-//! than the `payload_units * msg_bytes` estimate. A broadcast cell
-//! checks the receiver-side request-respond cache takes hits on
-//! power-law hubs.
+//! than the `payload_units * msg_bytes` estimate.
 //!
 //! `PR7_SMOKE=1` shrinks the graph and rep count for CI: all asserts
 //! still run end to end, the timings are not meaningful.
 
 use mtvc_bench::measure::measure_interleaved;
-use mtvc_bench::round_loop::{drive_core_policy, PolicyReport};
-use mtvc_engine::{LocalIndex, PerSlab, RoutePolicy, SlabProgram, WireFormat};
+use mtvc_bench::round_loop::{drive_core, RouteReport};
+use mtvc_engine::{LocalIndex, PerSlab, SlabProgram, WireFormat};
 use mtvc_graph::partition::Partition;
 use mtvc_graph::partition::{HashPartitioner, Partitioner};
 use mtvc_graph::{generators, Graph, VertexId};
-use mtvc_tasks::{MsspBroadcastSlabProgram, MsspLaneSlabProgram, MsspSlabProgram};
+use mtvc_tasks::{MsspLaneSlabProgram, MsspSlabProgram};
 use std::io::Write;
 
 const WORKERS: usize = 4;
@@ -77,14 +71,14 @@ impl Params {
 }
 
 struct CellResult {
-    report: PolicyReport,
+    report: RouteReport,
     rounds_per_sec: f64,
 }
 
 /// Interleaved best-of-reps timing (see
 /// [`mtvc_bench::measure::measure_interleaved`] for the sampling
 /// rationale), mapped into rounds/sec cells.
-fn measure_all(reps: usize, drivers: &[&dyn Fn() -> PolicyReport]) -> Vec<CellResult> {
+fn measure_all(reps: usize, drivers: &[&dyn Fn() -> RouteReport]) -> Vec<CellResult> {
     measure_interleaved(reps, drivers)
         .into_iter()
         .map(|(report, best)| CellResult {
@@ -100,15 +94,15 @@ fn run_slab<P: SlabProgram>(
     part: &Partition,
     locals: &LocalIndex,
     combine: bool,
-    policy: &RoutePolicy,
-) -> PolicyReport {
-    drive_core_policy(
+    wire_format: WireFormat,
+) -> RouteReport {
+    drive_core(
         &PerSlab::new(program),
         g,
         part,
         locals,
         combine,
-        policy,
+        wire_format,
         SEED,
         |_| {},
     )
@@ -118,15 +112,13 @@ fn json_cell(name: &str, r: &CellResult) -> String {
     format!(
         "    \"{name}\": {{\"rounds\": {}, \"sent_wire\": {}, \"delivered_tuples\": {}, \
          \"rounds_per_sec\": {:.2}, \"encoded_wire_bytes\": {}, \
-         \"estimated_wire_bytes\": {}, \"respond_hits\": {}, \"respond_misses\": {}}}",
+         \"estimated_wire_bytes\": {}}}",
         r.report.report.rounds,
         r.report.report.sent_wire,
         r.report.report.delivered_tuples,
         r.rounds_per_sec,
         r.report.encoded_wire_bytes,
         r.report.estimated_wire_bytes,
-        r.report.respond_hits,
-        r.report.respond_misses,
     )
 }
 
@@ -136,20 +128,7 @@ fn main() {
     let part = HashPartitioner::default().partition(&g, WORKERS);
     let locals = LocalIndex::build(&part);
 
-    let tuples = RoutePolicy::default();
-    let compact = RoutePolicy {
-        wire_format: WireFormat::Compact,
-        ..RoutePolicy::default()
-    };
-    let adaptive = RoutePolicy {
-        adaptive_combine: true,
-        ..RoutePolicy::default()
-    };
-    let full = RoutePolicy {
-        wire_format: WireFormat::Compact,
-        adaptive_combine: true,
-        ..RoutePolicy::default()
-    };
+    let (tuples, compact) = (WireFormat::Tuples, WireFormat::Compact);
 
     let mut cells: Vec<String> = Vec::new();
     let mut summary: Vec<String> = Vec::new();
@@ -160,18 +139,16 @@ fn main() {
         let scalar_prog = MsspSlabProgram::new(sources.clone());
         let lane_prog = MsspLaneSlabProgram::new(sources);
 
-        let scalar_d = || run_slab(&scalar_prog, &g, &part, &locals, false, &tuples);
-        let combine_d = || run_slab(&scalar_prog, &g, &part, &locals, true, &tuples);
-        let adaptive_d = || run_slab(&scalar_prog, &g, &part, &locals, true, &adaptive);
-        let lane_full_d = || run_slab(&lane_prog, &g, &part, &locals, true, &full);
-        let lane_nc_d = || run_slab(&lane_prog, &g, &part, &locals, false, &compact);
+        let scalar_d = || run_slab(&scalar_prog, &g, &part, &locals, false, tuples);
+        let combine_d = || run_slab(&scalar_prog, &g, &part, &locals, true, tuples);
+        let lane_combine_d = || run_slab(&lane_prog, &g, &part, &locals, true, compact);
+        let lane_nc_d = || run_slab(&lane_prog, &g, &part, &locals, false, compact);
         let mut results = measure_all(
             params.reps,
-            &[&scalar_d, &combine_d, &adaptive_d, &lane_full_d, &lane_nc_d],
+            &[&scalar_d, &combine_d, &lane_combine_d, &lane_nc_d],
         );
         let lane_nc = results.pop().expect("lane_nc");
-        let lane_full = results.pop().expect("lane_full");
-        let adaptive_cell = results.pop().expect("adaptive");
+        let lane_combine = results.pop().expect("lane_combine");
         let combine_cell = results.pop().expect("combine");
         let scalar = results.pop().expect("scalar");
 
@@ -179,8 +156,7 @@ fn main() {
         // pre-fold payload units exactly.
         for (name, cell) in [
             ("scalar_combine", &combine_cell),
-            ("scalar_adaptive", &adaptive_cell),
-            ("lane_full", &lane_full),
+            ("lane_combine", &lane_combine),
             ("lane_nocombine", &lane_nc),
         ] {
             assert_eq!(
@@ -193,7 +169,10 @@ fn main() {
             );
         }
         // The codec must strictly undercut the size_of-style estimate.
-        for (name, cell) in [("lane_full", &lane_full), ("lane_nocombine", &lane_nc)] {
+        for (name, cell) in [
+            ("lane_combine", &lane_combine),
+            ("lane_nocombine", &lane_nc),
+        ] {
             assert!(
                 cell.report.encoded_wire_bytes < cell.report.estimated_wire_bytes,
                 "compact encoding must shrink bytes ({name}, W={width}): {} vs {}",
@@ -202,24 +181,21 @@ fn main() {
             );
         }
 
-        let simd_speedup = lane_full.rounds_per_sec / combine_cell.rounds_per_sec;
+        let simd_speedup = lane_combine.rounds_per_sec / combine_cell.rounds_per_sec;
         let reduction = 1.0
-            - lane_full.report.encoded_wire_bytes as f64
-                / lane_full.report.estimated_wire_bytes as f64;
-        let adaptive_speedup = adaptive_cell.rounds_per_sec / combine_cell.rounds_per_sec;
+            - lane_combine.report.encoded_wire_bytes as f64
+                / lane_combine.report.estimated_wire_bytes as f64;
         println!(
-            "w{width}: lane+adaptive+compact {:.1} r/s vs scalar combine {:.1} r/s \
+            "w{width}: lane+combine+compact {:.1} r/s vs scalar combine {:.1} r/s \
              ({simd_speedup:.2}x; scalar nocombine {:.1}, lane nocombine {:.1}), \
-             encoded {}B vs estimated {}B (-{:.0}%), \
-             scalar adaptive {:.1} r/s ({adaptive_speedup:.2}x vs static)",
-            lane_full.rounds_per_sec,
+             encoded {}B vs estimated {}B (-{:.0}%)",
+            lane_combine.rounds_per_sec,
             combine_cell.rounds_per_sec,
             scalar.rounds_per_sec,
             lane_nc.rounds_per_sec,
-            lane_full.report.encoded_wire_bytes,
-            lane_full.report.estimated_wire_bytes,
+            lane_combine.report.encoded_wire_bytes,
+            lane_combine.report.estimated_wire_bytes,
             reduction * 100.0,
-            adaptive_cell.rounds_per_sec,
         );
         cells.push(json_cell(
             &format!("mssp_scalar_nocombine_w{width}"),
@@ -230,73 +206,24 @@ fn main() {
             &combine_cell,
         ));
         cells.push(json_cell(
-            &format!("mssp_scalar_adaptive_w{width}"),
-            &adaptive_cell,
+            &format!("mssp_lane_combine_w{width}"),
+            &lane_combine,
         ));
-        cells.push(json_cell(&format!("mssp_lane_full_w{width}"), &lane_full));
         cells.push(json_cell(&format!("mssp_lane_compact_w{width}"), &lane_nc));
         summary.push(format!("  \"simd_speedup_w{width}\": {simd_speedup:.3}"));
         summary.push(format!("  \"encoded_reduction_w{width}\": {reduction:.3}"));
-        if width == 64 {
-            summary.push(format!("  \"adaptive_speedup_w64\": {adaptive_speedup:.3}"));
-            // The smoke graph is a different workload; the pr5
-            // reference only applies to the full 20k/80k sweep.
-            if params.vertices == 20_000 {
-                summary.push(format!(
-                    "  \"lane_full_vs_pr5_combine_w64\": {:.3}",
-                    lane_full.rounds_per_sec / PR5_COMBINE_W64_RPS
-                ));
-                summary.push(format!(
-                    "  \"lane_full_vs_pr5_nocombine_w64\": {:.3}",
-                    lane_full.rounds_per_sec / PR5_NOCOMBINE_W64_RPS
-                ));
-            }
+        // The smoke graph is a different workload; the pr5 reference
+        // only applies to the full 20k/80k sweep.
+        if width == 64 && params.vertices == 20_000 {
+            summary.push(format!(
+                "  \"lane_combine_vs_pr5_combine_w64\": {:.3}",
+                lane_combine.rounds_per_sec / PR5_COMBINE_W64_RPS
+            ));
+            summary.push(format!(
+                "  \"lane_combine_vs_pr5_nocombine_w64\": {:.3}",
+                lane_combine.rounds_per_sec / PR5_NOCOMBINE_W64_RPS
+            ));
         }
-    }
-
-    // Receiver-side request-respond cache: unmirrored broadcasts from
-    // power-law hubs must take hits, and every hit elides its payload
-    // from the encoded stream.
-    {
-        let sources: Vec<VertexId> = (0..8u32)
-            .map(|q| (q * 997) % params.vertices as VertexId)
-            .collect();
-        let prog = MsspBroadcastSlabProgram::new(sources);
-        let cache_policy = RoutePolicy {
-            wire_format: WireFormat::Compact,
-            respond_cache_threshold: 16,
-            ..RoutePolicy::default()
-        };
-        let cold_d = || run_slab(&prog, &g, &part, &locals, false, &compact);
-        let cached_d = || run_slab(&prog, &g, &part, &locals, false, &cache_policy);
-        let mut results = measure_all(params.reps, &[&cold_d, &cached_d]);
-        let cached = results.pop().expect("cached");
-        let cold = results.pop().expect("cold");
-        assert_eq!(cached.report.report, cold.report.report, "cache parity");
-        assert!(
-            cached.report.respond_hits > 0,
-            "power-law hubs must produce cache hits"
-        );
-        assert!(
-            cached.report.encoded_wire_bytes < cold.report.encoded_wire_bytes,
-            "cache hits must elide payload bytes: {} vs {}",
-            cached.report.encoded_wire_bytes,
-            cold.report.encoded_wire_bytes
-        );
-        let hit_rate = cached.report.respond_hits as f64
-            / (cached.report.respond_hits + cached.report.respond_misses) as f64;
-        println!(
-            "respond cache (w8 broadcast, threshold 16): {} hits / {} misses \
-             ({:.0}% hit rate), encoded {}B vs uncached {}B",
-            cached.report.respond_hits,
-            cached.report.respond_misses,
-            hit_rate * 100.0,
-            cached.report.encoded_wire_bytes,
-            cold.report.encoded_wire_bytes,
-        );
-        cells.push(json_cell("mssp_bcast_respond_cache_w8", &cached));
-        cells.push(json_cell("mssp_bcast_no_cache_w8", &cold));
-        summary.push(format!("  \"respond_cache_hit_rate\": {hit_rate:.3}"));
     }
 
     let json = format!(

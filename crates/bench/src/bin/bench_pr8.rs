@@ -1,25 +1,20 @@
-//! PR 8 perf snapshot: fold-at-send pre-sharded outboxes + lane-batched
-//! BKHS/BPPR kernels. Emits `BENCH_pr8.json` in the working directory.
+//! Perf snapshot of the lane-batched BKHS/BPPR kernels on the
+//! fold-at-send routing pipeline. Emits `BENCH_pr8.json` in the working
+//! directory.
 //!
 //! Three cell families, same graph/partition setup as `bench_pr5`/`pr7`:
 //!
 //! * `bkhs_{scalar,lane}_w{W}` — [`BkhsSlabProgram`] vs
 //!   [`BkhsLaneSlabProgram`] (one envelope absorbs eight query lanes'
-//!   hop sets), W ∈ {8, 64}, combiner on. Same policy both sides, so
-//!   the timing delta isolates lane batching; rounds and `sent_wire`
-//!   are pinned equal.
+//!   hop sets), W ∈ {8, 64}, combiner on. Same wire format both sides,
+//!   so the timing delta isolates lane batching; rounds and
+//!   `sent_wire` are pinned equal.
 //! * `bppr_push_{scalar,lane}_w64` — [`BpprPushSlabProgram`] vs
 //!   [`BpprPushLaneSlabProgram`] (one broadcast forwards eight query
 //!   lanes' residues), combiner on, pinned the same way.
-//! * `mssp_{flat,presharded}_combine_w16` — the recycled-slab MSSP
-//!   combining workload on the flat two-stage routing path
-//!   ([`drive_core_policy`]) vs the fold-at-send pre-sharded path
-//!   ([`drive_core_presharded`]). Everything except
-//!   `shard_copy_bytes` is pinned equal; the headline
-//!   `presharded_copy_reduction` key is the fraction of shard-stage
-//!   envelope copies the pre-sharded path never performs, and its
-//!   steady-state allocation must stay at the 0 B/round the slab +
-//!   recycled-buffer stack established.
+//! * `mssp_presharded_combine_w16` — the recycled-slab MSSP combining
+//!   workload. Its steady-state allocation must stay at the 0 B/round
+//!   the slab + recycled-buffer stack established.
 //!
 //! Timing/allocation mechanics are the shared [`mtvc_bench::measure`]
 //! harness (interleaved best-of-reps, counting global allocator).
@@ -27,9 +22,9 @@
 //! `PR8_SMOKE=1` shrinks the graph and rep count for CI: all asserts
 //! still run end to end, the timings are not meaningful.
 
-use mtvc_bench::measure::{measure_all_rounds, measure_interleaved, CountingAlloc, Measurement};
-use mtvc_bench::round_loop::{drive_core_policy, drive_core_presharded, PolicyReport};
-use mtvc_engine::{LocalIndex, PerSlab, RoutePolicy, SlabProgram, SlabRecycler};
+use mtvc_bench::measure::{measure_interleaved, measure_rounds, CountingAlloc};
+use mtvc_bench::round_loop::{drive_core, RouteReport};
+use mtvc_engine::{LocalIndex, PerSlab, SlabProgram, SlabRecycler, WireFormat};
 use mtvc_graph::partition::Partition;
 use mtvc_graph::partition::{HashPartitioner, Partitioner};
 use mtvc_graph::{generators, Graph, VertexId};
@@ -76,11 +71,11 @@ impl Params {
 }
 
 struct CellResult {
-    report: PolicyReport,
+    report: RouteReport,
     rounds_per_sec: f64,
 }
 
-fn measure_all(reps: usize, drivers: &[&dyn Fn() -> PolicyReport]) -> Vec<CellResult> {
+fn measure_all(reps: usize, drivers: &[&dyn Fn() -> RouteReport]) -> Vec<CellResult> {
     measure_interleaved(reps, drivers)
         .into_iter()
         .map(|(report, best)| CellResult {
@@ -96,21 +91,20 @@ fn run_slab<P: SlabProgram>(
     part: &Partition,
     locals: &LocalIndex,
     combine: bool,
-    policy: &RoutePolicy,
-) -> PolicyReport {
-    drive_core_policy(
+) -> RouteReport {
+    drive_core(
         &PerSlab::new(program),
         g,
         part,
         locals,
         combine,
-        policy,
+        WireFormat::Tuples,
         SEED,
         |_| {},
     )
 }
 
-fn json_cell(name: &str, r: &PolicyReport, rounds_per_sec: f64) -> String {
+fn json_cell(name: &str, r: &RouteReport, rounds_per_sec: f64) -> String {
     format!(
         "    \"{name}\": {{\"rounds\": {}, \"sent_wire\": {}, \"delivered_tuples\": {}, \
          \"rounds_per_sec\": {rounds_per_sec:.2}, \"shard_copy_bytes\": {}}}",
@@ -136,7 +130,6 @@ fn main() {
     let g = generators::power_law(params.vertices, params.edges, 2.3, 42);
     let part = HashPartitioner::default().partition(&g, WORKERS);
     let locals = LocalIndex::build(&part);
-    let policy = RoutePolicy::default();
 
     let mut cells: Vec<String> = Vec::new();
     let mut summary: Vec<String> = Vec::new();
@@ -148,8 +141,8 @@ fn main() {
             .collect();
         let scalar_prog = BkhsSlabProgram::new(sources.clone(), BKHS_K);
         let lane_prog = BkhsLaneSlabProgram::new(sources, BKHS_K);
-        let scalar_d = || run_slab(&scalar_prog, &g, &part, &locals, true, &policy);
-        let lane_d = || run_slab(&lane_prog, &g, &part, &locals, true, &policy);
+        let scalar_d = || run_slab(&scalar_prog, &g, &part, &locals, true);
+        let lane_d = || run_slab(&lane_prog, &g, &part, &locals, true);
         let mut results = measure_all(params.reps, &[&scalar_d, &lane_d]);
         let lane = results.pop().expect("lane");
         let scalar = results.pop().expect("scalar");
@@ -181,8 +174,8 @@ fn main() {
             .with_sources(SourceSet::subset(sources.clone()));
         let lane_prog = BpprPushLaneSlabProgram::new(64, 0.2, g.num_vertices())
             .with_sources(SourceSet::subset(sources));
-        let scalar_d = || run_slab(&scalar_prog, &g, &part, &locals, true, &policy);
-        let lane_d = || run_slab(&lane_prog, &g, &part, &locals, true, &policy);
+        let scalar_d = || run_slab(&scalar_prog, &g, &part, &locals, true);
+        let lane_d = || run_slab(&lane_prog, &g, &part, &locals, true);
         let mut results = measure_all(params.reps, &[&scalar_d, &lane_d]);
         let lane = results.pop().expect("lane");
         let scalar = results.pop().expect("scalar");
@@ -205,74 +198,41 @@ fn main() {
         summary.push(format!("  \"lane_bppr_speedup_w64\": {speedup:.3}"));
     }
 
-    // MSSP combining: flat two-stage routing vs fold-at-send
-    // pre-sharded routing, recycled slabs (the production steady
-    // state — these two cells also carry the allocation profile).
+    // MSSP combining on recycled slabs: the production steady state,
+    // which must allocate nothing per round.
     {
         let sources: Vec<VertexId> = (0..16u32)
             .map(|q| (q * 997) % params.vertices as VertexId)
             .collect();
         let prog = MsspSlabProgram::new(sources);
         let recycler: SlabRecycler<u64> = SlabRecycler::new();
-        let flat_core = PerSlab::with_recycler(&prog, &recycler);
-        let flat_d = |hook: &mut dyn FnMut(usize)| {
-            drive_core_policy(&flat_core, &g, &part, &locals, true, &policy, SEED, hook)
-        };
-        let pre_d = |hook: &mut dyn FnMut(usize)| {
-            drive_core_presharded(&flat_core, &g, &part, &locals, true, &policy, SEED, hook)
-        };
-        let mut results = measure_all_rounds(params.reps, &[&flat_d, &pre_d]);
-        let pre: Measurement<PolicyReport> = results.pop().expect("presharded");
-        let flat: Measurement<PolicyReport> = results.pop().expect("flat");
-
-        // Fold-at-send changes where combining happens, not what is
-        // sent: everything but the copy counter is pinned equal.
-        assert_eq!(flat.report.report, pre.report.report, "presharded parity");
-        assert_eq!(
-            flat.report.encoded_wire_bytes,
-            pre.report.encoded_wire_bytes
-        );
-        assert_eq!(
-            flat.report.estimated_wire_bytes,
-            pre.report.estimated_wire_bytes
-        );
-        assert!(
-            pre.report.shard_copy_bytes < flat.report.shard_copy_bytes,
-            "presharded must shrink shard-stage copies: {} vs {}",
-            pre.report.shard_copy_bytes,
-            flat.report.shard_copy_bytes
-        );
+        let core = PerSlab::with_recycler(&prog, &recycler);
+        let pre = measure_rounds(params.reps, |hook| {
+            drive_core(
+                &core,
+                &g,
+                &part,
+                &locals,
+                true,
+                WireFormat::Tuples,
+                SEED,
+                hook,
+            )
+        });
         assert_eq!(
             pre.steady_bytes_per_round, 0,
             "presharded path must preserve 0 B steady-state rounds"
         );
-
-        let copy_reduction =
-            1.0 - pre.report.shard_copy_bytes as f64 / flat.report.shard_copy_bytes as f64;
-        let flat_rps = flat.report.report.rounds as f64 / flat.best_secs;
         let pre_rps = pre.report.report.rounds as f64 / pre.best_secs;
         println!(
-            "mssp_combine_w16: presharded {pre_rps:.1} rounds/s vs flat {flat_rps:.1} rounds/s \
-             ({:.2}x), shard copies {}B vs {}B (-{:.0}%), steady alloc/round {} vs {} bytes",
-            pre_rps / flat_rps,
-            pre.report.shard_copy_bytes,
-            flat.report.shard_copy_bytes,
-            copy_reduction * 100.0,
-            pre.steady_bytes_per_round,
-            flat.steady_bytes_per_round,
+            "mssp_combine_w16: presharded {pre_rps:.1} rounds/s, shard copies {}B, \
+             steady alloc/round {} bytes",
+            pre.report.shard_copy_bytes, pre.steady_bytes_per_round,
         );
-        cells.push(json_cell("mssp_flat_combine_w16", &flat.report, flat_rps));
         cells.push(json_cell(
             "mssp_presharded_combine_w16",
             &pre.report,
             pre_rps,
-        ));
-        summary.push(format!(
-            "  \"presharded_copy_reduction\": {copy_reduction:.3}"
-        ));
-        summary.push(format!(
-            "  \"presharded_speedup\": {:.3}",
-            pre_rps / flat_rps
         ));
         summary.push(format!(
             "  \"presharded_steady_bytes_per_round\": {}",

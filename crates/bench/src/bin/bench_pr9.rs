@@ -16,7 +16,11 @@
 //!    fault rates, with the brownout ladder off vs on. Per cell:
 //!    Interactive deadline attainment, recovery-latency p50/p99
 //!    (simulated ms per faulted batch), corruption/retransmission
-//!    counters, and the ladder's own transition statistics. At the top
+//!    counters, and the ladder's own transition statistics. Each cell
+//!    records every outcome count (`served`, `deadline`, `rejected`,
+//!    `failed`; `shed`, `refused`) and asserts that its books close:
+//!    submitted = served + deadline + rejected + failed, and
+//!    offered = submitted + shed + refused. At the top
 //!    fault rate the ladder must meet at least as many Interactive
 //!    deadlines as the no-ladder baseline — in full mode *strictly
 //!    more* (wall-clock dependent, so `PR9_SMOKE=1` only requires
@@ -319,6 +323,27 @@ impl Cell {
         let i = self.report.class(SloClass::Interactive);
         (i.deadline_met, i.deadline + self.drive.shed_by_class[0])
     }
+
+    /// Panic unless the cell's books close: every accepted request
+    /// reaches exactly one terminal outcome, and every offered request
+    /// was accepted, shed or refused.
+    fn assert_books(&self) {
+        let (d, r) = (&self.drive, &self.report);
+        assert_eq!(
+            d.submitted,
+            r.served + r.deadline + r.rejected + r.failed,
+            "rate {} ladder {}: submitted != served + deadline + rejected + failed",
+            self.rate,
+            self.ladder
+        );
+        assert_eq!(
+            d.offered(),
+            d.submitted + d.shed + d.refused,
+            "rate {} ladder {}: offered != submitted + shed + refused",
+            self.rate,
+            self.ladder
+        );
+    }
 }
 
 fn json_cell(c: &Cell) -> String {
@@ -328,7 +353,8 @@ fn json_cell(c: &Cell) -> String {
     let b = &r.brownout;
     format!(
         "    \"rate_{}_{}\": {{\"offered\": {}, \"submitted\": {}, \"shed\": {}, \
-         \"served\": {}, \"failed\": {}, \"batches\": {}, \
+         \"refused\": {}, \"served\": {}, \"deadline\": {}, \"rejected\": {}, \
+         \"failed\": {}, \"batches\": {}, \
          \"interactive_met\": {met}, \"interactive_missed\": {missed}, \
          \"faults_injected\": {}, \"replayed_rounds\": {}, \
          \"recovery_ms_p50\": {rp50}, \"recovery_ms_p99\": {rp99}, \
@@ -341,7 +367,10 @@ fn json_cell(c: &Cell) -> String {
         c.drive.offered(),
         c.drive.submitted,
         c.drive.shed,
+        c.drive.refused,
         r.served,
+        r.deadline,
+        r.rejected,
         r.failed,
         r.batches,
         r.faults_injected,
@@ -407,11 +436,6 @@ fn main() {
             }
             let report = svc.shutdown();
             assert_eq!(rep.offered(), trace.len() as u64);
-            assert_eq!(
-                report.requests(),
-                rep.submitted,
-                "accepted requests all reach a terminal outcome"
-            );
             if rate == 0 {
                 assert_eq!(report.faults_injected, 0, "control cell must be fault-free");
             } else {
@@ -423,6 +447,7 @@ fn main() {
                 drive: rep,
                 report,
             };
+            c.assert_books();
             let (met, missed) = c.interactive();
             println!(
                 "rate {rate} {:>8}: served {:>5}, interactive met {:>4} missed {:>4}, \

@@ -1,5 +1,5 @@
 //! Shared measurement harness for the perf-snapshot bins
-//! (`bench_pr3`, `bench_pr5`, `bench_pr7`, `bench_pr8`).
+//! (`bench_pr5`, `bench_pr7`, `bench_pr8`).
 //!
 //! Consolidates the two pieces every snapshot bin used to carry its
 //! own copy of:

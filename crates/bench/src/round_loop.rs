@@ -1,36 +1,30 @@
 //! End-to-end round-loop drivers for the envelope-path benchmarks.
 //!
-//! Two serial (single-threaded) implementations of the BSP round loop —
-//! compute phase + routing phase, no cost pricing — over the *same*
-//! [`VertexProgram`]s the engine runs:
+//! [`drive_core`] is a serial (single-threaded) implementation of the
+//! BSP round loop — compute phase + routing phase, no cost pricing —
+//! on the engine's routing pipeline: compute emits through the
+//! [`RouteGrid`]'s sinks (`begin_round` → `emit_sinks` →
+//! `route_presharded`), folding at send when combining, and each
+//! vertex receives its grouped [`Inbox`] run as a borrowed slice (zero
+//! clones, recycled buffers). It runs the *same* programs the engine
+//! runs:
 //!
-//! * [`drive_current`] — the engine's shipped hot path: sender-side
-//!   combining, grouped delivery through [`RouteGrid`]/[`Inbox`], and
-//!   borrowed per-vertex delivery runs (zero clones, recycled buffers).
-//! * [`drive_slab`] / [`drive_slab_recycled`] — the same hot path
-//!   running a dense-slab kernel ([`SlabProgram`]) instead of the
-//!   hash-map state: per-vertex state is a
-//!   [`StateSlab`](mtvc_engine::StateSlab) row, compute
-//!   is frontier-driven, and the recycled variant draws worker slabs
-//!   from a [`SlabRecycler`] so back-to-back runs allocate no state.
-//! * [`drive_legacy`] — a faithful replica of the pre-sender-combining
-//!   path, kept here as the benchmark baseline: combining happens at
-//!   the merge stage via a stable sort over `(dest, key)` tags, inboxes
-//!   are flat envelope vectors, and the compute phase re-groups each
-//!   inbox with a counting sort whose `counts`/`order` buffers are
-//!   allocated fresh every round and clones every message into a
-//!   scratch pair vector.
+//! * [`drive_current`] — a [`VertexProgram`] (hash-map state);
+//! * [`drive_slab`] / [`drive_slab_recycled`] — a dense-slab kernel
+//!   ([`SlabProgram`]): per-vertex state is a
+//!   [`StateSlab`](mtvc_engine::StateSlab) row, compute is
+//!   frontier-driven, and the recycled variant draws worker slabs from
+//!   a [`SlabRecycler`] so back-to-back runs allocate no state.
 //!
 //! All drivers execute real task code via the public [`Context`] and
 //! the engine's [`vertex_rng`], so for order-insensitive programs
-//! (MSSP: receiver-side min-aggregation) the paths produce identical
-//! round counts and wire totals — making the timing delta a pure
-//! measurement of the envelope path (current vs legacy) or the state
-//! layout (slab vs hash map).
+//! (MSSP: receiver-side min-aggregation) different state layouts and
+//! kernels produce identical round counts and wire totals — making the
+//! timing delta a pure measurement of the layout or kernel.
 
 use mtvc_engine::{
-    vertex_rng, Context, Delivery, Envelope, Inbox, LocalIndex, Message, Outbox, PerSlab,
-    PerVertex, ProgramCore, RouteGrid, RoutePolicy, SlabProgram, SlabRecycler, VertexProgram,
+    vertex_rng, Context, Inbox, LocalIndex, PerSlab, PerVertex, ProgramCore, RouteGrid,
+    SlabProgram, SlabRecycler, VertexProgram, WireFormat,
 };
 use mtvc_graph::partition::Partition;
 use mtvc_graph::Graph;
@@ -46,95 +40,46 @@ pub struct RoundLoopReport {
     pub delivered_tuples: u64,
 }
 
-/// [`RoundLoopReport`] plus the wire-accounting measurements a
-/// [`RoutePolicy`]-driven run produces.
+/// [`RoundLoopReport`] plus the wire accounting of a [`drive_core`]
+/// run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PolicyReport {
+pub struct RouteReport {
     pub report: RoundLoopReport,
     /// Post-codec cross-worker bucket bytes across the run (local
     /// flows deliver by pointer and never serialize); zero under
     /// [`WireFormat::Tuples`].
-    ///
-    /// [`WireFormat::Tuples`]: mtvc_engine::WireFormat::Tuples
     pub encoded_wire_bytes: u64,
     /// What the same cross-worker traffic costs under the
     /// `size_of`-style estimate (`payload_units * msg_bytes`), for
     /// shrinkage ratios.
     pub estimated_wire_bytes: u64,
-    /// Request-respond cache totals across the run.
-    pub respond_hits: u64,
-    pub respond_misses: u64,
-    /// Shard-stage envelope copies across the run (see
-    /// [`RoutingStats::shard_copy_bytes`]): the flat two-stage path
-    /// writes every surviving envelope twice (emit materialisation +
-    /// bucket append), the fold-at-send path once.
+    /// Envelope bytes written into shard buckets across the run (see
+    /// [`RoutingStats::shard_copy_bytes`]).
     ///
     /// [`RoutingStats::shard_copy_bytes`]: mtvc_engine::RoutingStats
     pub shard_copy_bytes: u64,
-    /// Out-of-core spill traffic (messages plus paged-out slab state)
-    /// across the run. The serial drivers in this module never page,
-    /// so they report zero; Runner-driven benches fill it in via
-    /// [`PolicyReport::absorb_run`].
-    pub total_spilled_bytes: u64,
-    /// Partition bytes streamed in by the pager across the run (zero
-    /// when paging is off or the driver is serial in-memory).
-    pub total_loaded_bytes: u64,
 }
 
-impl PolicyReport {
-    /// Fold a Runner run's out-of-core byte totals into this report
-    /// (the serial drivers here never page, so only Runner-driven
-    /// benches call this).
-    pub fn absorb_run(&mut self, stats: &mtvc_metrics::RunStats) {
-        self.total_spilled_bytes += stats.total_spilled_bytes.get();
-        self.total_loaded_bytes += stats.total_loaded_bytes.get();
-    }
-}
-
-/// Ceiling on rounds for runaway protection in both drivers.
+/// Ceiling on rounds for runaway protection.
 const ROUND_CAP: usize = 10_000;
 
-/// Run any [`ProgramCore`] to quiescence on the current engine hot
-/// path (sender-side combining + grouped delivery), single-threaded.
+/// Run any [`ProgramCore`] to quiescence on the engine's routing
+/// pipeline, single-threaded, under `wire_format`'s accounting.
 /// `on_round_end(round)` fires after each round's routing completes —
-/// the allocation bench snapshots its byte counter there. Stores are
-/// handed back through [`ProgramCore::recycle`] when the run finishes.
+/// the allocation benches snapshot their byte counter there. Stores
+/// are handed back through [`ProgramCore::recycle`] when the run
+/// finishes.
+#[allow(clippy::too_many_arguments)]
 pub fn drive_core<P: ProgramCore>(
     core: &P,
     graph: &Graph,
     part: &Partition,
     locals: &LocalIndex,
     combine: bool,
-    seed: u64,
-    on_round_end: impl FnMut(usize),
-) -> RoundLoopReport {
-    drive_core_policy(
-        core,
-        graph,
-        part,
-        locals,
-        combine,
-        &RoutePolicy::default(),
-        seed,
-        on_round_end,
-    )
-    .report
-}
-
-/// [`drive_core`] under an explicit [`RoutePolicy`] (compact wire
-/// format, adaptive combining, respond caching), returning the policy
-/// measurements alongside the parity report.
-#[allow(clippy::too_many_arguments)]
-pub fn drive_core_policy<P: ProgramCore>(
-    core: &P,
-    graph: &Graph,
-    part: &Partition,
-    locals: &LocalIndex,
-    combine: bool,
-    policy: &RoutePolicy,
+    wire_format: WireFormat,
     seed: u64,
     mut on_round_end: impl FnMut(usize),
-) -> PolicyReport {
+) -> RouteReport {
     let workers = part.num_workers();
     let msg_bytes = core.message_bytes();
     let mut stores: Vec<P::Store> = locals
@@ -142,11 +87,9 @@ pub fn drive_core_policy<P: ProgramCore>(
         .iter()
         .map(|list| core.make_store(list))
         .collect();
-    let mut outboxes: Vec<Outbox<P::Message>> = (0..workers).map(|_| Outbox::new()).collect();
     let mut inboxes: Vec<Inbox<P::Message>> = (0..workers).map(|_| Inbox::new()).collect();
     let mut grid: RouteGrid<P::Message> = RouteGrid::new(workers);
-    grid.set_policy(*policy);
-    let mut report = PolicyReport {
+    let mut report = RouteReport {
         report: RoundLoopReport {
             rounds: 0,
             sent_wire: 0,
@@ -154,11 +97,7 @@ pub fn drive_core_policy<P: ProgramCore>(
         },
         encoded_wire_bytes: 0,
         estimated_wire_bytes: 0,
-        respond_hits: 0,
-        respond_misses: 0,
         shard_copy_bytes: 0,
-        total_spilled_bytes: 0,
-        total_loaded_bytes: 0,
     };
 
     for round in 0..ROUND_CAP {
@@ -170,107 +109,7 @@ pub fn drive_core_policy<P: ProgramCore>(
                 break;
             }
         }
-        for (w, vertices) in locals.worker_vertices().iter().enumerate() {
-            let outbox = &mut outboxes[w];
-            outbox.clear();
-            if round == 0 {
-                for (li, &v) in vertices.iter().enumerate() {
-                    let mut rng = vertex_rng(seed, round, v);
-                    let mut ctx = Context::new(v, round, graph, &mut rng, outbox);
-                    core.init_vertex(v, li as u32, &mut stores[w], &mut ctx);
-                }
-            } else {
-                let inbox = &mut inboxes[w];
-                let mut start = 0usize;
-                for run in inbox.runs() {
-                    let msgs = &inbox.deliveries()[start..run.end as usize];
-                    start = run.end as usize;
-                    let mut rng = vertex_rng(seed, round, run.dest);
-                    let mut ctx = Context::new(run.dest, round, graph, &mut rng, outbox);
-                    core.compute_vertex(run.dest, run.local, &mut stores[w], msgs, &mut ctx);
-                }
-                inbox.clear();
-            }
-        }
-        let stats = grid.route_round(
-            None,
-            &mut outboxes,
-            &mut inboxes,
-            graph,
-            part,
-            locals,
-            None,
-            combine,
-            msg_bytes,
-        );
-        report.report.sent_wire += stats.sent_wire;
-        report.report.delivered_tuples += stats.delivered_tuples;
-        report.report.rounds = round + 1;
-        report.encoded_wire_bytes += stats.encoded_wire_bytes;
-        report.estimated_wire_bytes += stats.net_out_bytes.iter().sum::<u64>();
-        report.respond_hits += stats.respond_hits;
-        report.respond_misses += stats.respond_misses;
-        report.shard_copy_bytes += stats.shard_copy_bytes;
-        on_round_end(round);
-    }
-    core.recycle(stores);
-    report
-}
-
-/// [`drive_core_policy`] on the fold-at-send pre-sharded emit path:
-/// compute writes straight into per-destination shards through
-/// [`ShardedOutbox`](mtvc_engine::ShardedOutbox) sinks (`begin_round`
-/// → `emit_sinks` → `route_presharded`) instead of materialising a
-/// flat outbox for the shard stage to re-walk. Traffic and every
-/// statistic except `shard_copy_bytes` are bit-identical to
-/// [`drive_core_policy`]; steady-state rounds allocate nothing on
-/// either path.
-#[allow(clippy::too_many_arguments)]
-pub fn drive_core_presharded<P: ProgramCore>(
-    core: &P,
-    graph: &Graph,
-    part: &Partition,
-    locals: &LocalIndex,
-    combine: bool,
-    policy: &RoutePolicy,
-    seed: u64,
-    mut on_round_end: impl FnMut(usize),
-) -> PolicyReport {
-    let workers = part.num_workers();
-    let msg_bytes = core.message_bytes();
-    let mut stores: Vec<P::Store> = locals
-        .worker_vertices()
-        .iter()
-        .map(|list| core.make_store(list))
-        .collect();
-    let mut inboxes: Vec<Inbox<P::Message>> = (0..workers).map(|_| Inbox::new()).collect();
-    let mut grid: RouteGrid<P::Message> = RouteGrid::new(workers);
-    grid.set_policy(*policy);
-    let mut report = PolicyReport {
-        report: RoundLoopReport {
-            rounds: 0,
-            sent_wire: 0,
-            delivered_tuples: 0,
-        },
-        encoded_wire_bytes: 0,
-        estimated_wire_bytes: 0,
-        respond_hits: 0,
-        respond_misses: 0,
-        shard_copy_bytes: 0,
-        total_spilled_bytes: 0,
-        total_loaded_bytes: 0,
-    };
-
-    for round in 0..ROUND_CAP {
-        if round > 0 {
-            if inboxes.iter().all(|i| i.is_empty()) {
-                break;
-            }
-            if core.max_rounds().is_some_and(|max| round > max) {
-                break;
-            }
-        }
-        grid.begin_round(combine, locals);
+        grid.begin_round(combine, wire_format, locals);
         for (((w, vertices), mut sink), inbox) in locals
             .worker_vertices()
             .iter()
@@ -296,14 +135,12 @@ pub fn drive_core_presharded<P: ProgramCore>(
                 inbox.clear();
             }
         }
-        let stats = grid.route_presharded(None, &mut inboxes, locals, msg_bytes, combine);
+        let stats = grid.route_presharded(None, &mut inboxes, locals, msg_bytes);
         report.report.sent_wire += stats.sent_wire;
         report.report.delivered_tuples += stats.delivered_tuples;
         report.report.rounds = round + 1;
         report.encoded_wire_bytes += stats.encoded_wire_bytes;
         report.estimated_wire_bytes += stats.net_out_bytes.iter().sum::<u64>();
-        report.respond_hits += stats.respond_hits;
-        report.respond_misses += stats.respond_misses;
         report.shard_copy_bytes += stats.shard_copy_bytes;
         on_round_end(round);
     }
@@ -311,7 +148,7 @@ pub fn drive_core_presharded<P: ProgramCore>(
     report
 }
 
-/// Run a [`VertexProgram`] (hash-map state) on the current hot path.
+/// Run a [`VertexProgram`] (hash-map state).
 pub fn drive_current<P: VertexProgram>(
     program: &P,
     graph: &Graph,
@@ -327,13 +164,15 @@ pub fn drive_current<P: VertexProgram>(
         part,
         locals,
         combine,
+        WireFormat::Tuples,
         seed,
         on_round_end,
     )
+    .report
 }
 
-/// Run a [`SlabProgram`] (dense slab state) on the current hot path,
-/// allocating fresh worker slabs.
+/// Run a [`SlabProgram`] (dense slab state), allocating fresh worker
+/// slabs.
 pub fn drive_slab<P: SlabProgram>(
     program: &P,
     graph: &Graph,
@@ -349,9 +188,11 @@ pub fn drive_slab<P: SlabProgram>(
         part,
         locals,
         combine,
+        WireFormat::Tuples,
         seed,
         on_round_end,
     )
+    .report
 }
 
 /// Run a [`SlabProgram`] drawing worker slabs from (and retiring them
@@ -374,210 +215,11 @@ pub fn drive_slab_recycled<P: SlabProgram>(
         part,
         locals,
         combine,
+        WireFormat::Tuples,
         seed,
         on_round_end,
     )
-}
-
-/// Run `program` to quiescence on a replica of the pre-PR envelope
-/// path, single-threaded. See the module docs for what this reproduces;
-/// it exists purely as the baseline the `round_loop` bench and
-/// `bench_pr3` bin measure against.
-pub fn drive_legacy<P: VertexProgram>(
-    program: &P,
-    graph: &Graph,
-    part: &Partition,
-    locals: &LocalIndex,
-    combine: bool,
-    seed: u64,
-    mut on_round_end: impl FnMut(usize),
-) -> RoundLoopReport {
-    let workers = part.num_workers();
-    let mut states: Vec<Vec<P::State>> = locals
-        .worker_vertices()
-        .iter()
-        .map(|list| vec![P::State::default(); list.len()])
-        .collect();
-    let mut outboxes: Vec<Outbox<P::Message>> = (0..workers).map(|_| Outbox::new()).collect();
-    let mut inboxes: Vec<Vec<Envelope<P::Message>>> = (0..workers).map(|_| Vec::new()).collect();
-    // The pre-PR grid recycled its shard buckets across rounds too.
-    let mut shards: Vec<Vec<Vec<Envelope<P::Message>>>> = (0..workers)
-        .map(|_| (0..workers).map(|_| Vec::new()).collect())
-        .collect();
-    let mut report = RoundLoopReport {
-        rounds: 0,
-        sent_wire: 0,
-        delivered_tuples: 0,
-    };
-
-    for round in 0..ROUND_CAP {
-        if round > 0 {
-            if inboxes.iter().all(|i| i.is_empty()) {
-                break;
-            }
-            if program.max_rounds().is_some_and(|max| round > max) {
-                break;
-            }
-        }
-        for (w, vertices) in locals.worker_vertices().iter().enumerate() {
-            let outbox = &mut outboxes[w];
-            outbox.clear();
-            if round == 0 {
-                for (li, &v) in vertices.iter().enumerate() {
-                    let mut rng = vertex_rng(seed, round, v);
-                    let mut ctx = Context::new(v, round, graph, &mut rng, outbox);
-                    program.init(v, &mut states[w][li], &mut ctx);
-                }
-            } else {
-                legacy_worker_compute(
-                    program,
-                    graph,
-                    round,
-                    seed,
-                    locals,
-                    &mut inboxes[w],
-                    outbox,
-                    &mut states[w],
-                );
-            }
-        }
-        let (sent, tuples) = legacy_route(
-            graph,
-            part,
-            combine,
-            &mut outboxes,
-            &mut shards,
-            &mut inboxes,
-        );
-        report.sent_wire += sent;
-        report.delivered_tuples += tuples;
-        report.rounds = round + 1;
-        on_round_end(round);
-    }
-    report
-}
-
-/// Pre-PR routing: shard per destination worker, combine each shard at
-/// the merge stage with a stable sort over `(dest, key_is_none, key)`
-/// tags, then concatenate the column (in source order) into a flat
-/// inbox vector.
-fn legacy_route<M: Message>(
-    graph: &Graph,
-    part: &Partition,
-    combine: bool,
-    outboxes: &mut [Outbox<M>],
-    shards: &mut [Vec<Vec<Envelope<M>>>],
-    inboxes: &mut [Vec<Envelope<M>>],
-) -> (u64, u64) {
-    let mut sent_wire = 0u64;
-    for (row, outbox) in shards.iter_mut().zip(outboxes.iter_mut()) {
-        for env in outbox.sends.drain(..) {
-            sent_wire += env.mult;
-            row[part.owner_of(env.dest) as usize].push(env);
-        }
-        for (origin, msg, mult) in outbox.broadcasts.drain(..) {
-            sent_wire += graph.degree(origin) as u64 * mult;
-            for &t in graph.neighbors(origin) {
-                row[part.owner_of(t) as usize].push(Envelope::new(t, msg.clone(), mult));
-            }
-        }
-    }
-    let mut tuples = 0u64;
-    for (dst, inbox) in inboxes.iter_mut().enumerate() {
-        for row in shards.iter_mut() {
-            let bucket = &mut row[dst];
-            if combine {
-                legacy_combine_bucket(bucket);
-            }
-            tuples += bucket.len() as u64;
-            inbox.append(bucket);
-        }
-    }
-    (sent_wire, tuples)
-}
-
-/// Pre-PR merge-stage combining: stable sort by `(dest, key_is_none,
-/// key)` (unkeyed entries ordered after all keyed ones so `u64::MAX`
-/// keys never interleave with them), then fold adjacent equal-keyed
-/// envelopes.
-fn legacy_combine_bucket<M: Message>(bucket: &mut Vec<Envelope<M>>) {
-    if bucket.len() < 2 {
-        return;
-    }
-    bucket.sort_by_cached_key(|e| {
-        let key = e.msg.combine_key();
-        (e.dest, key.is_none(), key.unwrap_or(0))
-    });
-    let mut write = 0usize;
-    for read in 1..bucket.len() {
-        let (head, tail) = bucket.split_at_mut(read);
-        let prev = &mut head[write];
-        let cur = &tail[0];
-        let mergeable = prev.dest == cur.dest
-            && prev.msg.combine_key().is_some()
-            && prev.msg.combine_key() == cur.msg.combine_key();
-        if mergeable {
-            prev.msg.merge(&cur.msg);
-            prev.mult += cur.mult;
-        } else {
-            write += 1;
-            bucket.swap(write, read);
-        }
-    }
-    bucket.truncate(write + 1);
-}
-
-/// Pre-PR compute phase for one worker: re-group the flat inbox with a
-/// counting sort (fresh `counts`/`order` every round) and clone each
-/// delivery into a scratch pair vector before calling `compute`.
-#[allow(clippy::too_many_arguments)]
-fn legacy_worker_compute<P: VertexProgram>(
-    program: &P,
-    graph: &Graph,
-    round: usize,
-    seed: u64,
-    locals: &LocalIndex,
-    inbox: &mut Vec<Envelope<P::Message>>,
-    outbox: &mut Outbox<P::Message>,
-    states: &mut [P::State],
-) {
-    let nloc = states.len();
-    let mut counts = vec![0u32; nloc + 1];
-    for e in inbox.iter() {
-        counts[locals.local_of(e.dest) as usize + 1] += 1;
-    }
-    for i in 1..=nloc {
-        counts[i] += counts[i - 1];
-    }
-    let mut order: Vec<u32> = vec![0; inbox.len()];
-    {
-        let mut cursor = counts.clone();
-        for (i, e) in inbox.iter().enumerate() {
-            let li = locals.local_of(e.dest) as usize;
-            order[cursor[li] as usize] = i as u32;
-            cursor[li] += 1;
-        }
-    }
-    let mut pairs: Vec<Delivery<P::Message>> = Vec::new();
-    for li in 0..nloc {
-        let (start, end) = (counts[li] as usize, counts[li + 1] as usize);
-        if start == end {
-            continue;
-        }
-        let dest = inbox[order[start] as usize].dest;
-        pairs.clear();
-        for &idx in &order[start..end] {
-            let e = &inbox[idx as usize];
-            pairs.push(Delivery {
-                msg: e.msg.clone(),
-                mult: e.mult,
-            });
-        }
-        let mut rng = vertex_rng(seed, round, dest);
-        let mut ctx = Context::new(dest, round, graph, &mut rng, outbox);
-        program.compute(dest, &mut states[li], &pairs, &mut ctx);
-    }
-    inbox.clear();
+    .report
 }
 
 #[cfg(test)]
@@ -586,27 +228,6 @@ mod tests {
     use mtvc_graph::generators;
     use mtvc_graph::partition::{HashPartitioner, Partitioner};
     use mtvc_tasks::mssp::MsspProgram;
-
-    /// MSSP aggregates receiver-side, so the two paths must agree
-    /// exactly on rounds and wire volume — combining on or off.
-    #[test]
-    fn current_and_legacy_paths_agree_on_mssp() {
-        let g = generators::power_law(400, 1600, 2.3, 7);
-        let part = HashPartitioner::default().partition(&g, 4);
-        let locals = LocalIndex::build(&part);
-        let program = MsspProgram::new(vec![0, 13, 200]);
-        for combine in [false, true] {
-            let cur = drive_current(&program, &g, &part, &locals, combine, 42, |_| {});
-            let old = drive_legacy(&program, &g, &part, &locals, combine, 42, |_| {});
-            assert_eq!(cur.rounds, old.rounds, "combine={combine}");
-            assert_eq!(cur.sent_wire, old.sent_wire, "combine={combine}");
-            assert_eq!(
-                cur.delivered_tuples, old.delivered_tuples,
-                "combine={combine}"
-            );
-            assert!(cur.rounds > 2, "run must actually do work");
-        }
-    }
 
     /// The slab MSSP kernel must be traffic-identical to the hash-map
     /// kernel, fresh or recycled — and recycling must return every
@@ -628,33 +249,6 @@ mod tests {
             assert_eq!(base, dense, "combine={combine}");
             assert_eq!(base, pooled, "combine={combine}");
             assert_eq!(recycler.pooled(), 4, "all worker slabs retired");
-        }
-    }
-
-    /// The fold-at-send driver must agree with the flat two-stage
-    /// driver on every statistic except shard-stage copies, which it
-    /// must strictly shrink (no emit materialisation).
-    #[test]
-    fn presharded_driver_agrees_with_flat_and_halves_copies() {
-        let g = generators::power_law(400, 1600, 2.3, 7);
-        let part = HashPartitioner::default().partition(&g, 4);
-        let locals = LocalIndex::build(&part);
-        let slab = mtvc_tasks::MsspSlabProgram::new(vec![0, 13, 200]);
-        let core = PerSlab::new(&slab);
-        let policy = RoutePolicy::default();
-        for combine in [false, true] {
-            let flat = drive_core_policy(&core, &g, &part, &locals, combine, &policy, 42, |_| {});
-            let pre =
-                drive_core_presharded(&core, &g, &part, &locals, combine, &policy, 42, |_| {});
-            assert_eq!(flat.report, pre.report, "combine={combine}");
-            assert_eq!(flat.encoded_wire_bytes, pre.encoded_wire_bytes);
-            assert_eq!(flat.estimated_wire_bytes, pre.estimated_wire_bytes);
-            assert!(
-                pre.shard_copy_bytes < flat.shard_copy_bytes,
-                "combine={combine}: presharded {} must beat flat {}",
-                pre.shard_copy_bytes,
-                flat.shard_copy_bytes
-            );
         }
     }
 

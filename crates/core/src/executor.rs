@@ -145,6 +145,13 @@ impl JobResult {
 
 /// Execute a multi-processing job batch by batch.
 pub fn run_job(graph: &Graph, spec: &JobSpec) -> JobResult {
+    check_job(graph, spec);
+    run_job_on(&job_runner(graph, spec), spec, &BatchShared::default())
+}
+
+/// Panic unless `spec`'s schedule covers its workload and the workload
+/// fits the graph.
+fn check_job(graph: &Graph, spec: &JobSpec) {
     assert_eq!(
         spec.schedule.total(),
         spec.task.workload(),
@@ -154,7 +161,6 @@ pub fn run_job(graph: &Graph, spec: &JobSpec) -> JobResult {
         spec.task.workload() <= spec.task.max_workload(graph),
         "workload exceeds the graph's capacity for this task"
     );
-    run_job_on(&job_runner(graph, spec), spec)
 }
 
 /// The runner every batch of `spec` executes on: partition, layout,
@@ -174,8 +180,9 @@ fn job_runner<'g>(graph: &'g Graph, spec: &JobSpec) -> Runner<'g> {
     Runner::with_partition(graph, partition, cfg)
 }
 
-/// [`run_job`] on a prepared [`job_runner`].
-fn run_job_on(runner: &Runner, spec: &JobSpec) -> JobResult {
+/// [`run_job`] on a prepared runner whose layout matches
+/// [`job_runner`]'s, drawing state slabs from `shared`.
+fn run_job_on(runner: &Runner, spec: &JobSpec, shared: &BatchShared) -> JobResult {
     let graph = runner.graph();
     // Source-based tasks: one global source pool, indexed once here and
     // sliced per batch so batches never repeat a unit task (and never
@@ -187,10 +194,12 @@ fn run_job_on(runner: &Runner, spec: &JobSpec) -> JobResult {
         }
     };
     let source_index = SourceIndex::shared(source_pool);
-    let shared = BatchShared::default();
 
     let mut residual = vec![0u64; spec.cluster.machines];
     let mut cfg = runner.config().clone();
+    cfg.parallel_vertex_threshold = spec
+        .parallel_vertex_threshold
+        .unwrap_or(PARALLEL_VERTEX_THRESHOLD);
     let mut stats = RunStats::new();
     let mut per_batch = Vec::with_capacity(spec.schedule.len());
     let mut elapsed = SimTime::ZERO;
@@ -218,7 +227,7 @@ fn run_job_on(runner: &Runner, spec: &JobSpec) -> JobResult {
             spec.task,
             w,
             batch_sources,
-            &shared,
+            shared,
         );
         elapsed += batch.outcome.plot_time().min(spec.cutoff - elapsed);
         stats.absorb(&batch.stats);
@@ -364,6 +373,24 @@ impl BatchRunner {
     /// The task shape this runner executes.
     pub fn task(&self) -> Task {
         self.task
+    }
+
+    /// The system this runner's batches run under.
+    pub fn system(&self) -> SystemKind {
+        self.system
+    }
+
+    /// Run a whole job as [`run_job`] would, with the same result, on
+    /// this runner's engine runner and slab pools instead of fresh
+    /// ones. The job's system and cluster must be this runner's; its
+    /// batches run fault-free with the job's own parallel cutover.
+    pub fn run_job(&self, spec: &JobSpec) -> JobResult {
+        assert!(
+            spec.system == self.system && spec.cluster == *self.cluster(),
+            "a job on a batch runner must use the runner's system and cluster"
+        );
+        check_job(&self.graph, spec);
+        run_job_on(&self.runner, spec, &self.shared)
     }
 
     /// The graph this runner executes on.
@@ -1131,7 +1158,7 @@ mod tests {
             .expect("threshold 1 pools")
             .thread_ids()
             .to_vec();
-        let job = run_job_on(&runner, &spec);
+        let job = run_job_on(&runner, &spec, &BatchShared::default());
         assert!(job.outcome.is_completed());
         assert_eq!(job.per_batch.len(), 4);
         assert_eq!(runner.pool().unwrap().thread_ids(), &ids[..]);

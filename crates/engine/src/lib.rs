@@ -41,9 +41,7 @@ pub use profile::{
 pub use program::{
     Context, EmitSink, Outbox, PagedNeighbors, PerVertex, ProgramCore, VertexProgram,
 };
-pub use router::{
-    route, route_with, Inbox, LocalIndex, RouteGrid, RoutePolicy, RoutingStats, Run, ShardedOutbox,
-};
+pub use router::{route, Inbox, LocalIndex, RouteGrid, RoutingStats, Run, ShardedOutbox};
 pub use runner::{vertex_rng, EngineConfig, RunResult, Runner, PARALLEL_VERTEX_THRESHOLD};
 pub use slab::{
     PageableCell, PerSlab, SlabDelta, SlabProgram, SlabRecycler, SlabRowMut, StateSlab, LANES,

@@ -5,7 +5,6 @@
 //! consumed by the engine and cost model. The `mtvc-systems` crate
 //! provides the seven concrete presets; this module defines the axes.
 
-use crate::router::RoutePolicy;
 use crate::wire::WireFormat;
 use mtvc_metrics::Bytes;
 use serde::{Deserialize, Serialize};
@@ -157,21 +156,6 @@ pub struct SystemProfile {
     /// [`WireFormat::Compact`] charges real post-codec bucket bytes
     /// instead of `payload_units * msg_bytes`.
     pub wire_format: WireFormat,
-    /// With `combiner`, toggle sender-side combining per (worker,
-    /// round) from the observed slot hit rate instead of running it
-    /// unconditionally.
-    pub adaptive_combiner: bool,
-    /// Receiver-side request-respond cache threshold for unmirrored
-    /// broadcast origins (0 = off); see
-    /// [`RoutePolicy::respond_cache_threshold`].
-    pub respond_cache_threshold: u32,
-    /// Emit straight into pre-sharded per-destination buckets (folding
-    /// at emission time) instead of materialising a flat outbox that
-    /// the shard stage re-walks. On by default ([`Self::base`]) —
-    /// bit-identical traffic and statistics either way; this knob only
-    /// exists so benchmarks can measure the copy elimination against
-    /// the two-stage baseline.
-    pub fold_at_send: bool,
 }
 
 impl SystemProfile {
@@ -190,22 +174,6 @@ impl SystemProfile {
             per_msg_ops: 1.0,
             per_vertex_ops: 2.0,
             wire_format: WireFormat::Tuples,
-            adaptive_combiner: false,
-            respond_cache_threshold: 0,
-            fold_at_send: true,
-        }
-    }
-
-    /// The routing-pipeline policy this profile implies. Adaptive
-    /// combining is disabled while fault injection is armed: the grid's
-    /// toggle state is not checkpointed, so rollback-replay rounds must
-    /// route with static decisions to stay bit-identical.
-    pub fn route_policy(&self, faults_armed: bool) -> RoutePolicy {
-        RoutePolicy {
-            wire_format: self.wire_format,
-            adaptive_combine: self.adaptive_combiner && !faults_armed,
-            respond_cache_threshold: self.respond_cache_threshold,
-            ..RoutePolicy::default()
         }
     }
 

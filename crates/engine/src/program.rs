@@ -18,17 +18,17 @@ pub struct PagedNeighbors<'a> {
     pub weights: Option<&'a [u32]>,
 }
 
-/// Where a [`Context`] delivers emissions. Two implementations exist:
-/// the flat [`Outbox`] (queue now, shard in the routing stage — the
-/// historic pipeline and the serial oracle's input) and the router's
-/// [`ShardedOutbox`](crate::router::ShardedOutbox), which routes each
-/// emission into its destination shard at emit time and runs the
-/// sender-side combiner's fold probe there, so folded envelopes are
-/// never materialised (fold-at-send). Programs are oblivious: they call
+/// Where a [`Context`] delivers emissions. The engine's sink is the
+/// router's [`ShardedOutbox`](crate::router::ShardedOutbox), which
+/// routes each emission into its destination shard at emit time and
+/// runs the sender-side combiner's fold probe there. The flat
+/// [`Outbox`] just queues emissions: it is the serial reference
+/// [`route`](crate::router::route)'s input, and lets harnesses drive
+/// programs outside the engine. Programs are oblivious: they call
 /// [`Context::send`]/[`Context::broadcast`] either way.
 ///
 /// The methods are raw — multiplicity-0 and degree-0 filtering happens
-/// in [`Context`], so both sinks observe the exact same emission
+/// in [`Context`], so every sink observes the exact same emission
 /// sequence.
 pub trait EmitSink<M> {
     /// Accept one point-to-point envelope.
@@ -42,15 +42,13 @@ pub trait EmitSink<M> {
     fn add_state_bytes(&mut self, bytes: u64);
 }
 
-/// Per-worker send buffer, reused across compute calls *and* across
-/// rounds: the routing pipeline drains `sends`/`broadcasts` in place,
-/// so the vectors keep their capacity and a steady-state round
-/// performs no outbox allocation.
+/// Per-worker queue of one round's emissions, in the form the serial
+/// reference [`route`](crate::router::route) consumes.
 ///
-/// Public so benches and property tests can drive
-/// [`route`](crate::router::route) / [`RouteGrid`](crate::RouteGrid)
-/// with synthetic traffic; vertex programs never see an `Outbox`
-/// directly — they go through [`Context`].
+/// Public so benches and property tests can drive `route` and, through
+/// [`Outbox::drain_into`], the [`RouteGrid`](crate::RouteGrid) with
+/// synthetic traffic; vertex programs never see an `Outbox` directly —
+/// they go through [`Context`].
 #[derive(Debug, Default, Clone)]
 pub struct Outbox<M> {
     /// Point-to-point envelopes.
@@ -77,6 +75,19 @@ impl<M> Outbox<M> {
         self.broadcasts.clear();
         self.state_bytes_added = 0;
     }
+
+    /// Re-emit the queued traffic into `sink` — sends first, then
+    /// broadcasts, the order [`route`](crate::router::route) reads
+    /// them — leaving this outbox empty with its capacity retained.
+    pub fn drain_into(&mut self, sink: &mut dyn EmitSink<M>) {
+        for env in self.sends.drain(..) {
+            sink.emit(env);
+        }
+        for (origin, msg, mult) in self.broadcasts.drain(..) {
+            sink.emit_broadcast(origin, msg, mult);
+        }
+        sink.add_state_bytes(std::mem::take(&mut self.state_bytes_added));
+    }
 }
 
 impl<M> EmitSink<M> for Outbox<M> {
@@ -99,11 +110,10 @@ impl<M> EmitSink<M> for Outbox<M> {
 /// Execution context handed to `compute`. Borrow-scoped to one vertex
 /// activation: sends are attributed to [`Context::vertex`].
 ///
-/// Emissions flow to an [`EmitSink`] — a flat [`Outbox`] on the
-/// two-stage routing path, a pre-sharded
-/// [`ShardedOutbox`](crate::router::ShardedOutbox) on the fold-at-send
-/// path. The dynamic dispatch is one perfectly-predicted indirect call
-/// per emission (the sink never changes within a round).
+/// Emissions flow to an [`EmitSink`] — in the engine, the router's
+/// pre-sharded [`ShardedOutbox`](crate::router::ShardedOutbox). The
+/// dynamic dispatch is one perfectly-predicted indirect call per
+/// emission (the sink never changes within a round).
 pub struct Context<'a, M: Message> {
     vertex: VertexId,
     round: usize,

@@ -1,38 +1,44 @@
-//! Message routing: outboxes → grouped inboxes, with sender-side
+//! Message routing: emissions → grouped inboxes, with sender-side
 //! combining, broadcast expansion, mirroring-aware wire accounting, and
 //! per-worker traffic statistics.
 //!
-//! Routing runs as a two-stage **shard-then-merge** pipeline:
+//! There is one routing pipeline, driven by [`RouteGrid`] in three
+//! calls per round:
 //!
-//! 1. **Shard** — each *source* worker buckets its outbox into one
-//!    [`Shard`] per destination worker. When the system profile enables
-//!    combining, envelopes with equal `(dest, combine_key)` are folded
-//!    *here*, at the source, through a recycled slot map — before any
-//!    "transmission" — so the shard columns the merge stage sees are
-//!    already combined (sender-side combining, the Pregel+ technique).
-//!    Each shard additionally keeps a histogram of destination local
-//!    indices, and since a shard's content is final after this stage,
-//!    its traffic ([`PairFlow`]) is measured here too. Shards of
-//!    different sources are independent, so this stage parallelizes
-//!    over source workers.
-//! 2. **Merge** — each *destination* worker folds its column of shards
-//!    (in source order) into a grouped [`Inbox`]: the per-shard
-//!    histograms are summed into per-vertex offsets, and every
-//!    envelope's payload is *moved* (never cloned) straight into its
-//!    vertex's contiguous run of [`Delivery`] slots. Columns of
+//! 1. [`RouteGrid::begin_round`] readies every source worker's row of
+//!    the shard matrix (one [`Shard`] per destination worker).
+//! 2. **Shard at send** — the compute phase emits through one
+//!    [`ShardedOutbox`] per source worker ([`RouteGrid::emit_sinks`]).
+//!    Each `send()`/`broadcast()` is routed straight into its
+//!    destination shard, and when the profile enables combining an
+//!    envelope with an equal `(dest, combine_key)` is folded into the
+//!    earlier one right there, at the source (sender-side combining,
+//!    the Pregel+ technique). A folded envelope is never written
+//!    anywhere; a survivor is written once. Each shard also keeps a
+//!    histogram of destination local indices. Sinks of different
+//!    sources are disjoint, so this runs in parallel with compute.
+//! 3. [`RouteGrid::route_presharded`] measures each pair's traffic
+//!    ([`PairFlow`]) and **merges**: each *destination* worker folds
+//!    its column of shards (in source order) into a grouped [`Inbox`].
+//!    The per-shard histograms are summed into per-vertex offsets, and
+//!    every envelope's payload is *moved* (never cloned) straight into
+//!    its vertex's contiguous run of [`Delivery`] slots. Columns of
 //!    different destinations are independent, so this stage
 //!    parallelizes over destination workers.
 //!
 //! The grouped inbox hands `compute` a borrowed `&[Delivery<M>]` run
-//! per vertex, which eliminates the per-round counting sort and the
-//! per-delivery message clone the compute phase used to pay.
-//! [`RoutingStats`] is a pure reduction over the per-pair flows, which
-//! makes the parallel path *bit-identical* to the serial reference
-//! [`route`] — same runs in the same order, same statistics —
-//! regardless of thread scheduling. [`RouteGrid`] owns the shard
-//! matrix, slot maps, and offset buffers and recycles all of them
-//! across rounds, so a steady-state round performs zero allocations and
-//! zero message clones between `send()` and `compute()`.
+//! per vertex. [`RoutingStats`] is a pure reduction over the per-pair
+//! flows, so the result does not depend on thread scheduling. The grid
+//! owns the shard matrix, fold tables and offset buffers and recycles
+//! all of them across rounds, so a steady-state round performs zero
+//! allocations and zero message clones between `send()` and
+//! `compute()`.
+//!
+//! [`route`] is the serial reference implementation: it takes the
+//! round's traffic as flat [`Outbox`]es and routes it with independent
+//! machinery (fresh buffers, a plain `HashMap`, a stable sort). Tests
+//! replay the same traffic through the grid ([`Outbox::drain_into`])
+//! and require identical inboxes and statistics.
 
 use crate::message::{Delivery, Envelope, Message};
 use crate::mirror::MirrorIndex;
@@ -48,67 +54,6 @@ use std::collections::hash_map::Entry;
 /// on top of the payload: the mirrored origin's index plus the stream
 /// flag. (Tuples mode charges `msg_bytes` per transfer instead.)
 const MIRROR_ENC_OVERHEAD: u64 = 2;
-
-/// Adaptive combining keeps a source worker's combiner on only while
-/// the observed fold yield — payload units merged away per slot probe
-/// — stays at or above `ADAPTIVE_HIT_RATE_NUM / ADAPTIVE_HIT_RATE_DEN`.
-/// For scalar (mult 1) messages this is the plain hit rate: merging
-/// must fold at least 3 of every 4 keyed envelopes to pay for the
-/// per-envelope probes. Batched envelopes (e.g. lane-chunked MSSP)
-/// weigh each fold by its multiplicity, since one merge then saves a
-/// whole chunk of downstream copy and delivery work. A single
-/// sub-threshold round does not turn the combiner off: frontier
-/// algorithms ramp through sparse low-yield rounds before saturating,
-/// so eviction takes [`ADAPTIVE_OFF_STRIKES`] consecutive bad verdicts
-/// (a re-probed worker re-enters one strike short — the prior evidence
-/// still counts). While off, the combiner re-probes one round out of
-/// every [`ADAPTIVE_PROBE_PERIOD`] in case the traffic shape changed.
-const ADAPTIVE_HIT_RATE_NUM: u64 = 3;
-const ADAPTIVE_HIT_RATE_DEN: u64 = 4;
-const ADAPTIVE_PROBE_PERIOD: u32 = 8;
-const ADAPTIVE_OFF_STRIKES: u32 = 2;
-
-/// Routing behaviour knobs beyond the per-round `combine` flag: the
-/// wire format the accounting assumes, whether sender-side combining
-/// adapts per (worker, round), and the receiver-side request-respond
-/// cache threshold. The default policy reproduces the historic
-/// pipeline bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoutePolicy {
-    /// Network accounting representation; [`WireFormat::Compact`]
-    /// measures real encoded bucket bytes instead of
-    /// `payload_units * msg_bytes`.
-    pub wire_format: WireFormat,
-    /// When set (and the profile enables combining at all), each source
-    /// worker toggles its combiner per round from the observed fold
-    /// yield — the fix for combining that costs more than it saves at
-    /// wide batch widths. Decisions land in [`RoutingStats::combine_on`].
-    pub adaptive_combine: bool,
-    /// Rounds whose combiner probed fewer keyed envelopes than this
-    /// keep the combiner armed instead of updating the adaptive toggle:
-    /// a near-empty round (init traffic, a draining frontier) carries
-    /// no statistical signal, and letting it shut combining off wastes
-    /// the following full-size rounds until the next re-probe.
-    pub adaptive_min_tries: u64,
-    /// Receiver-side request-respond cache (Yan et al.): an unmirrored
-    /// broadcast origin with at least this many neighbors sends each
-    /// destination worker its payload once; further copies to the same
-    /// worker ship index-only and are served from the receiver's cache.
-    /// `0` disables the cache. Bytes shrink only under
-    /// [`WireFormat::Compact`]; hit/miss counters accrue regardless.
-    pub respond_cache_threshold: u32,
-}
-
-impl Default for RoutePolicy {
-    fn default() -> Self {
-        RoutePolicy {
-            wire_format: WireFormat::default(),
-            adaptive_combine: false,
-            adaptive_min_tries: 1024,
-            respond_cache_threshold: 0,
-        }
-    }
-}
 
 /// Traffic measured while routing one round's messages.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -144,22 +89,10 @@ pub struct RoutingStats {
     pub encoded_out_bytes: Vec<u64>,
     /// Per-worker post-codec bytes received from other machines.
     pub encoded_in_bytes: Vec<u64>,
-    /// Per-source-worker combining decision this round (static profiles
-    /// repeat the profile flag; adaptive combining varies it).
-    pub combine_on: Vec<bool>,
-    /// Broadcast copies served from receiver-side request-respond
-    /// caches (payload not re-shipped).
-    pub respond_hits: u64,
-    /// Broadcast payloads shipped to prime a receiver's cache.
-    pub respond_misses: u64,
-    /// Bytes of envelopes materialised in routing buffers *before*
-    /// encode: every envelope written into a flat outbox at emit time
-    /// plus every envelope appended to a shard bucket. The two-stage
-    /// path writes each surviving envelope twice (outbox, then bucket)
-    /// and each folded envelope once (outbox only); the fold-at-send
-    /// pre-sharded path writes survivors once and folded envelopes
-    /// never — this counter is what the copy-elimination claim is
-    /// measured on. Pure accounting; no other statistic depends on it.
+    /// Bytes of envelopes written into shard buckets: one
+    /// `size_of::<Envelope<M>>()` per surviving envelope (folded
+    /// envelopes are never written). Pure accounting; no other
+    /// statistic depends on it.
     pub shard_copy_bytes: u64,
     /// True when this round re-transmitted traffic during
     /// rollback-replay recovery. Replayed wire traffic must never be
@@ -183,9 +116,6 @@ impl RoutingStats {
             encoded_wire_bytes: 0,
             encoded_out_bytes: vec![0; workers],
             encoded_in_bytes: vec![0; workers],
-            combine_on: vec![false; workers],
-            respond_hits: 0,
-            respond_misses: 0,
             shard_copy_bytes: 0,
             replay: false,
         }
@@ -197,8 +127,6 @@ impl RoutingStats {
         self.delivered_tuples = 0;
         self.local_bytes = 0;
         self.encoded_wire_bytes = 0;
-        self.respond_hits = 0;
-        self.respond_misses = 0;
         self.shard_copy_bytes = 0;
         self.replay = false;
         for v in [
@@ -213,7 +141,6 @@ impl RoutingStats {
         ] {
             v.iter_mut().for_each(|x| *x = 0);
         }
-        self.combine_on.iter_mut().for_each(|x| *x = false);
     }
 
     /// Total wire messages delivered (= sent; nothing is dropped).
@@ -224,7 +151,7 @@ impl RoutingStats {
 
 /// Vertex ↔ (worker, local index) addressing for one partition.
 ///
-/// The shard stage uses `local_of` to histogram destinations; the merge
+/// The emit sinks use `local_of` to histogram destinations; the merge
 /// stage uses `vertex_at` to label the grouped runs. Built once per run
 /// (the [`Runner`](crate::Runner) owns one) and shared read-only by
 /// every routing stage.
@@ -381,11 +308,8 @@ struct PairFlow {
     /// Post-codec bytes actually crossing machines (mirror-prepaid
     /// transfers replace the prepaid fraction).
     encoded_net_bytes: u64,
-    /// Request-respond cache hits / primes on this pair.
-    respond_hits: u64,
-    respond_misses: u64,
-    /// Envelope bytes appended to this pair's bucket (the shard-stage
-    /// half of [`RoutingStats::shard_copy_bytes`]).
+    /// Envelope bytes written into this pair's bucket (see
+    /// [`RoutingStats::shard_copy_bytes`]).
     copy_bytes: u64,
 }
 
@@ -410,11 +334,6 @@ pub struct Shard<M> {
     /// Wire messages in the bucket (multiplicity sum; combining folds
     /// envelopes but preserves this total).
     wire: u64,
-    /// Envelope bytes appended to the bucket this round (one
-    /// `size_of::<Envelope<M>>()` per surviving append; folds add
-    /// nothing) — the shard half of
-    /// [`RoutingStats::shard_copy_bytes`].
-    copied: u64,
     /// Bytes already paid on the wire for this pair (mirrored
     /// broadcasts pay per mirror-worker, not per envelope).
     prepaid_net: u64,
@@ -424,11 +343,6 @@ pub struct Shard<M> {
     /// Post-codec bytes already paid as mirror transfers (compact
     /// analogue of `prepaid_net`).
     prepaid_net_encoded: u64,
-    /// Payload bytes the request-respond cache elides from this pair's
-    /// encoded bucket, plus the hit/prime counts behind them.
-    cached_payload: u64,
-    respond_hits: u64,
-    respond_misses: u64,
     /// Compact-measure scratch: per-local-index write cursors (all-zero
     /// between rounds, like `hist`) and the bucket's query keys in
     /// delivery order.
@@ -447,8 +361,8 @@ pub struct Shard<M> {
     /// Destination worker's vertex count, refreshed each round (the
     /// dense table's row stride).
     nloc: usize,
-    /// The pair's traffic, measured at the end of the shard stage
-    /// (bucket content is final once combining happened at the source).
+    /// The pair's traffic, measured once compute has ended (bucket
+    /// content is final once combining happened at the source).
     flow: PairFlow,
 }
 
@@ -460,13 +374,9 @@ impl<M> Default for Shard<M> {
             hist: Vec::new(),
             touched: Vec::new(),
             wire: 0,
-            copied: 0,
             prepaid_net: 0,
             prepaid_wire: 0,
             prepaid_net_encoded: 0,
-            cached_payload: 0,
-            respond_hits: 0,
-            respond_misses: 0,
             cursors: Vec::new(),
             qkeys: Vec::new(),
             fold_slots: Vec::new(),
@@ -488,35 +398,18 @@ const DENSE_FOLD_SLOTS_MAX: usize = 1 << 22;
 /// live `fold_round` (rounds count from 1).
 const FOLD_SLOT_EMPTY: u64 = 0;
 
-/// Sender-side combining state for one source worker: maps
+/// Sender-side combining fallback for one source worker: maps
 /// `(dest, combine_key)` to the envelope's position within the
-/// destination shard's bucket, plus the round's slot probe/hit counters
-/// (the adaptive-combining signal) and the request-respond cache's
-/// seen-worker scratch. Recycled across rounds (cleared, never
-/// dropped), so steady-state combining allocates nothing.
-#[derive(Debug, Default)]
-pub struct SenderSlots {
-    map: FastMap<(VertexId, u64), u32>,
-    /// Keyed envelopes probed this round, and the payload units folded
-    /// away by slot hits (valid for rounds the combiner actually ran).
-    /// Hits are **unit-weighted**: folding a lane-batched envelope of
-    /// multiplicity 8 saves eight payload units of downstream copy and
-    /// delivery work for one probe, so it counts 8 — for scalar
-    /// (mult 1) messages this is exactly the envelope hit count.
-    tries: u64,
-    hits: u64,
-    /// Request-respond scratch: `seen[dw] == epoch` marks a destination
-    /// worker already primed by the current broadcast origin.
-    seen: Vec<u64>,
-    epoch: u64,
-}
+/// destination shard's bucket, for keys past the dense fold table.
+/// Recycled across rounds (cleared, never dropped), so steady-state
+/// combining allocates nothing.
+type FoldMap = FastMap<(VertexId, u64), u32>;
 
 /// Append `env` to `shard`, maintaining the wire count and the
 /// local-index histogram.
 #[inline]
 fn append_env<M>(shard: &mut Shard<M>, li: u32, env: Envelope<M>) {
     shard.wire += env.mult;
-    shard.copied += std::mem::size_of::<Envelope<M>>() as u64;
     let h = &mut shard.hist[li as usize];
     if *h == 0 {
         shard.touched.push(li);
@@ -535,7 +428,7 @@ fn append_env<M>(shard: &mut Shard<M>, li: u32, env: Envelope<M>) {
 #[inline]
 fn fold_probe<M>(
     shard: &mut Shard<M>,
-    map: &mut FastMap<(VertexId, u64), u32>,
+    map: &mut FoldMap,
     dest: VertexId,
     li: u32,
     key: u64,
@@ -577,16 +470,14 @@ fn push_send<M: Message>(
     locals: &LocalIndex,
     combine: bool,
     shards: &mut [Box<Shard<M>>],
-    slots: &mut SenderSlots,
+    map: &mut FoldMap,
 ) {
     let dw = part.owner_of(env.dest) as usize;
     let li = locals.local_of(env.dest);
     if combine {
         if let Some(key) = env.msg.combine_key() {
-            slots.tries += 1;
             let shard = &mut shards[dw];
-            if let Some(pos) = fold_probe(shard, &mut slots.map, env.dest, li, key) {
-                slots.hits += env.mult;
+            if let Some(pos) = fold_probe(shard, map, env.dest, li, key) {
                 let slot = &mut shard.bucket[pos as usize];
                 slot.msg.merge(&env.msg);
                 slot.mult += env.mult;
@@ -600,8 +491,6 @@ fn push_send<M: Message>(
 
 /// Route one broadcast-expanded message. On a combining hit the clone
 /// is skipped entirely — the borrowed payload merges into the slot.
-/// Returns whether a new envelope was appended (false on a combining
-/// hit) — the request-respond cache only accounts appended copies.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn push_broadcast<M: Message>(
@@ -612,33 +501,27 @@ fn push_broadcast<M: Message>(
     locals: &LocalIndex,
     combine: bool,
     shards: &mut [Box<Shard<M>>],
-    slots: &mut SenderSlots,
-) -> bool {
+    map: &mut FoldMap,
+) {
     let li = locals.local_of(dest);
     if combine {
         if let Some(key) = msg.combine_key() {
-            slots.tries += 1;
             let shard = &mut shards[dw];
-            if let Some(pos) = fold_probe(shard, &mut slots.map, dest, li, key) {
-                slots.hits += mult;
+            if let Some(pos) = fold_probe(shard, map, dest, li, key) {
                 let slot = &mut shard.bucket[pos as usize];
                 slot.msg.merge(msg);
                 slot.mult += mult;
                 shard.wire += mult;
-                return false;
+                return;
             }
         }
     }
     append_env(&mut shards[dw], li, Envelope::new(dest, msg.clone(), mult));
-    true
 }
 
 /// Reset one source's shard row for a new round of appends: refresh the
 /// destination vertex counts, size the histograms, and (when combining)
-/// advance the dense fold tables' epoch. Shared by the flat
-/// [`shard_outbox`] prologue and [`RouteGrid::begin_round`] (the
-/// fold-at-send path, which must prepare the row *before* the compute
-/// phase starts emitting into it).
+/// advance the dense fold tables' epoch.
 fn prepare_shards<M>(shards: &mut [Box<Shard<M>>], locals: &LocalIndex, combine: bool) {
     for (dw, shard) in shards.iter_mut().enumerate() {
         let nloc = locals.count(dw);
@@ -658,111 +541,6 @@ fn prepare_shards<M>(shards: &mut [Box<Shard<M>>], locals: &LocalIndex, combine:
     }
 }
 
-/// Reset one source's sender-combining slots for a new round (companion
-/// to [`prepare_shards`], same two call sites).
-fn prepare_slots(slots: &mut SenderSlots, combine: bool, workers: usize) {
-    if combine {
-        slots.map.clear();
-        slots.tries = 0;
-        slots.hits = 0;
-    }
-    if slots.seen.len() < workers {
-        slots.seen.resize(workers, 0);
-    }
-}
-
-/// Stage 1: drain `outbox` into one shard per destination worker,
-/// sender-combining when `combine` is set, and measure each pair's
-/// flow. Returns `(wire messages produced, emit-materialisation bytes)`
-/// for this source — the latter is the flat-outbox half of
-/// [`RoutingStats::shard_copy_bytes`]: every send and broadcast entry
-/// was written once into the outbox at emit time before this re-walk
-/// copies survivors into their buckets. Send/broadcast capacity of the
-/// outbox is retained for the next round.
-#[allow(clippy::too_many_arguments)]
-fn shard_outbox<M: Message>(
-    src_worker: usize,
-    outbox: &mut Outbox<M>,
-    graph: &Graph,
-    part: &Partition,
-    locals: &LocalIndex,
-    mirrors: Option<&MirrorIndex>,
-    combine: bool,
-    msg_bytes: u64,
-    policy: &RoutePolicy,
-    shards: &mut [Box<Shard<M>>],
-    slots: &mut SenderSlots,
-) -> (u64, u64) {
-    prepare_shards(shards, locals, combine);
-    prepare_slots(slots, combine, shards.len());
-    let compact = policy.wire_format == WireFormat::Compact;
-    let emit_copies = (outbox.sends.len() + outbox.broadcasts.len()) as u64
-        * std::mem::size_of::<Envelope<M>>() as u64;
-
-    let mut sent_wire = 0u64;
-    for env in outbox.sends.drain(..) {
-        sent_wire += env.mult;
-        push_send(env, part, locals, combine, shards, slots);
-    }
-
-    for (origin, msg, mult) in outbox.broadcasts.drain(..) {
-        let degree = graph.degree(origin) as u64;
-        sent_wire += degree * mult;
-        match mirrors.and_then(|m| m.fanout(origin)) {
-            Some(mirror_workers) => {
-                // One wire transfer per remote mirror worker replaces
-                // the per-neighbor wire cost of all remote fan-outs.
-                let enc_xfer = if compact {
-                    (MIRROR_ENC_OVERHEAD + msg.encoded_payload_bytes()) * mult
-                } else {
-                    0
-                };
-                for &mw in mirror_workers {
-                    shards[mw as usize].prepaid_net += msg_bytes * mult;
-                    shards[mw as usize].prepaid_net_encoded += enc_xfer;
-                }
-                for &t in graph.neighbors(origin) {
-                    let dw = part.owner_of(t) as usize;
-                    if dw != src_worker {
-                        shards[dw].prepaid_wire += mult;
-                    }
-                    push_broadcast(t, &msg, mult, dw, locals, combine, shards, slots);
-                }
-            }
-            None => {
-                // Unmirrored broadcast: ordinary per-neighbor sends,
-                // with the request-respond cache eliding repeat
-                // payloads to the same remote worker for high-degree
-                // origins.
-                let caching = policy.respond_cache_threshold != 0
-                    && degree >= policy.respond_cache_threshold as u64;
-                if caching {
-                    slots.epoch += 1;
-                }
-                for &t in graph.neighbors(origin) {
-                    let dw = part.owner_of(t) as usize;
-                    let appended =
-                        push_broadcast(t, &msg, mult, dw, locals, combine, shards, slots);
-                    if caching && dw != src_worker && appended {
-                        if slots.seen[dw] == slots.epoch {
-                            shards[dw].respond_hits += 1;
-                            shards[dw].cached_payload += msg.encoded_payload_bytes();
-                        } else {
-                            slots.seen[dw] = slots.epoch;
-                            shards[dw].respond_misses += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    for (dw, shard) in shards.iter_mut().enumerate() {
-        finish_shard(src_worker, dw, shard, combine, msg_bytes, policy);
-    }
-    (sent_wire, emit_copies)
-}
-
 /// Measure one shard's pair traffic after its content is final.
 ///
 /// Mirrored-broadcast envelopes must not ALSO pay per-envelope network
@@ -775,20 +553,16 @@ fn finish_shard<M: Message>(
     shard: &mut Shard<M>,
     combine: bool,
     msg_bytes: u64,
-    policy: &RoutePolicy,
+    compact: bool,
 ) {
     let prepaid_net = std::mem::take(&mut shard.prepaid_net);
     let prepaid_wire = std::mem::take(&mut shard.prepaid_wire);
     let prepaid_net_enc = std::mem::take(&mut shard.prepaid_net_encoded);
-    let cached_payload = std::mem::take(&mut shard.cached_payload);
-    let respond_hits = std::mem::take(&mut shard.respond_hits);
-    let respond_misses = std::mem::take(&mut shard.respond_misses);
     let wire = std::mem::take(&mut shard.wire);
-    let copied = std::mem::take(&mut shard.copied);
     let mut flow = PairFlow::default();
     if !shard.bucket.is_empty() || prepaid_net != 0 {
         let tuples = shard.bucket.len() as u64;
-        flow.copy_bytes = copied;
+        flow.copy_bytes = tuples * std::mem::size_of::<Envelope<M>>() as u64;
         // Bytes on the wire: combining systems transmit tuples,
         // non-combining systems transmit every wire message.
         let payload_units = if combine { tuples } else { wire };
@@ -796,13 +570,11 @@ fn finish_shard<M: Message>(
         flow.buffer_bytes = buffer_bytes;
         flow.wire = wire;
         flow.tuples = tuples;
-        flow.respond_hits = respond_hits;
-        flow.respond_misses = respond_misses;
         // The codec models wire serialization, so only cross-worker
         // buckets are measured: local delivery hands envelopes over by
         // pointer and never encodes.
-        if policy.wire_format == WireFormat::Compact && dst != src {
-            let enc = measure_shard_encoded(shard).saturating_sub(cached_payload);
+        if compact && dst != src {
+            let enc = measure_shard_encoded(shard);
             flow.encoded_bytes = enc;
             // Prepaid wire messages already crossed as mirror
             // transfers; keep only the unpaid fraction of the
@@ -896,13 +668,13 @@ fn measure_shard_encoded<M: Message>(shard: &mut Shard<M>) -> u64 {
     bytes + runs + key_bytes + long_extra
 }
 
-/// Stage 2: fold one destination's shard column (in source order) into
+/// Merge: fold one destination's shard column (in source order) into
 /// its grouped [`Inbox`].
 ///
 /// The per-shard histograms are summed into per-vertex offsets, every
 /// envelope payload is moved into its vertex's delivery run, and the
-/// runs are emitted in ascending local-index order — the exact grouping
-/// the compute phase used to derive with a per-round counting sort.
+/// runs are emitted in ascending local-index order, each stable by
+/// (source worker, send order).
 fn merge_column<M: Message>(
     dst: usize,
     col: &mut [Box<Shard<M>>],
@@ -951,7 +723,7 @@ fn merge_column<M: Message>(
 
     // Scatter: move each envelope's payload straight into its run slot.
     // Iterating shards in source order keeps runs stable by (source,
-    // send order) — the same order the counting sort used to produce.
+    // send order) — the order the serial `route`'s stable sort gives.
     inbox.deliveries.reserve(total);
     let spare = inbox.deliveries.spare_capacity_mut();
     for shard in col.iter_mut() {
@@ -1001,19 +773,19 @@ fn apply_flow(stats: &mut RoutingStats, src: usize, dst: usize, flow: &PairFlow)
     stats.encoded_wire_bytes += flow.encoded_bytes;
     stats.encoded_out_bytes[src] += flow.encoded_net_bytes;
     stats.encoded_in_bytes[dst] += flow.encoded_net_bytes;
-    stats.respond_hits += flow.respond_hits;
-    stats.respond_misses += flow.respond_misses;
     stats.shard_copy_bytes += flow.copy_bytes;
 }
 
 /// Route all outboxes into grouped per-worker inboxes — the serial
-/// reference implementation of the sender-combining shard-then-merge
-/// pipeline. [`RouteGrid`] is the buffer-recycling, pool-dispatching
-/// equivalent the engine uses; both produce bit-identical inboxes and
-/// statistics. This implementation is deliberately different machinery
-/// (fresh per-call buffers, a plain `HashMap` for combining, a stable
-/// comparison sort for grouping) so the property tests pin the grid
-/// against genuinely independent code.
+/// reference implementation of the routing pipeline. [`RouteGrid`] is
+/// the buffer-recycling, pool-dispatching equivalent the engine runs:
+/// replaying the same traffic through its emit sinks (each source's
+/// sends, then its broadcasts — see [`Outbox::drain_into`]) yields
+/// bit-identical inboxes and statistics. This implementation is
+/// deliberately different machinery (fresh per-call buffers, a plain
+/// `HashMap` for combining, a stable comparison sort for grouping, the
+/// sort-based [`wire::measure_bucket`]) so the property tests pin the
+/// grid against genuinely independent code.
 ///
 /// * `mirrors`: `Some` in broadcast (Pregel+(mirror)) mode — mirrored
 ///   vertices pay one wire message per remote mirror worker instead of
@@ -1022,34 +794,10 @@ fn apply_flow(stats: &mut RoutingStats, src: usize, dst: usize, flow: &PairFlow)
 ///   source worker before "transmission", the way sender-side Pregel
 ///   combiners work. Multiplicities sum; payloads merge in send order.
 /// * `msg_bytes`: wire size of one message.
-pub fn route<M: Message>(
-    outboxes: Vec<Outbox<M>>,
-    graph: &Graph,
-    part: &Partition,
-    locals: &LocalIndex,
-    mirrors: Option<&MirrorIndex>,
-    combine: bool,
-    msg_bytes: u64,
-) -> (Vec<Inbox<M>>, RoutingStats) {
-    route_with(
-        outboxes,
-        graph,
-        part,
-        locals,
-        mirrors,
-        combine,
-        msg_bytes,
-        &RoutePolicy::default(),
-    )
-}
-
-/// [`route`] with an explicit [`RoutePolicy`]: the serial oracle for
-/// the compact wire format and the request-respond cache. Combining
-/// stays static here (`policy.adaptive_combine` is ignored — the
-/// adaptive toggle is per-grid state, covered by its own determinism
-/// and conservation properties).
+/// * `wire_format`: [`WireFormat::Compact`] also measures the encoded
+///   size of every cross-worker bucket.
 #[allow(clippy::too_many_arguments)]
-pub fn route_with<M: Message>(
+pub fn route<M: Message>(
     mut outboxes: Vec<Outbox<M>>,
     graph: &Graph,
     part: &Partition,
@@ -1057,39 +805,30 @@ pub fn route_with<M: Message>(
     mirrors: Option<&MirrorIndex>,
     combine: bool,
     msg_bytes: u64,
-    policy: &RoutePolicy,
+    wire_format: WireFormat,
 ) -> (Vec<Inbox<M>>, RoutingStats) {
-    use std::collections::{HashMap, HashSet};
+    use std::collections::HashMap;
 
     let workers = part.num_workers();
-    let compact = policy.wire_format == WireFormat::Compact;
+    let compact = wire_format == WireFormat::Compact;
     let mut stats = RoutingStats::new(workers);
-    stats.combine_on.iter_mut().for_each(|c| *c = combine);
     // columns[dst][src]: combined envelope buckets in source order.
     let mut columns: Vec<Vec<Vec<Envelope<M>>>> =
         (0..workers).map(|_| Vec::with_capacity(workers)).collect();
 
     let env_bytes = std::mem::size_of::<Envelope<M>>() as u64;
     for (src, outbox) in outboxes.iter_mut().enumerate() {
-        // Flat-outbox emit materialisation: one envelope write per
-        // send/broadcast entry, independently of combining.
-        stats.shard_copy_bytes += (outbox.sends.len() + outbox.broadcasts.len()) as u64 * env_bytes;
         let mut buckets: Vec<Vec<Envelope<M>>> = (0..workers).map(|_| Vec::new()).collect();
         let mut prepaid_net = vec![0u64; workers];
         let mut prepaid_wire = vec![0u64; workers];
         let mut prepaid_net_enc = vec![0u64; workers];
-        let mut cached_payload = vec![0u64; workers];
-        let mut respond_hits = vec![0u64; workers];
-        let mut respond_misses = vec![0u64; workers];
         let mut slots: HashMap<(VertexId, u64), usize> = HashMap::new();
 
-        // Returns whether a new envelope was appended (false = merged).
         let deposit = |buckets: &mut Vec<Vec<Envelope<M>>>,
                        slots: &mut HashMap<(VertexId, u64), usize>,
                        dest: VertexId,
                        msg: &M,
-                       mult: u64|
-         -> bool {
+                       mult: u64| {
             let dw = part.owner_of(dest) as usize;
             if combine {
                 if let Some(key) = msg.combine_key() {
@@ -1097,13 +836,12 @@ pub fn route_with<M: Message>(
                         let slot = &mut buckets[dw][pos];
                         slot.msg.merge(msg);
                         slot.mult += mult;
-                        return false;
+                        return;
                     }
                     slots.insert((dest, key), buckets[dw].len());
                 }
             }
             buckets[dw].push(Envelope::new(dest, msg.clone(), mult));
-            true
         };
 
         for env in outbox.sends.drain(..) {
@@ -1111,8 +849,7 @@ pub fn route_with<M: Message>(
             deposit(&mut buckets, &mut slots, env.dest, &env.msg, env.mult);
         }
         for (origin, msg, mult) in outbox.broadcasts.drain(..) {
-            let degree = graph.degree(origin) as u64;
-            stats.sent_wire += degree * mult;
+            stats.sent_wire += graph.degree(origin) as u64 * mult;
             let fanout = mirrors.and_then(|m| m.fanout(origin));
             if let Some(mirror_workers) = fanout {
                 for &mw in mirror_workers {
@@ -1123,25 +860,12 @@ pub fn route_with<M: Message>(
                     }
                 }
             }
-            let caching = fanout.is_none()
-                && policy.respond_cache_threshold != 0
-                && degree >= policy.respond_cache_threshold as u64;
-            let mut primed: HashSet<usize> = HashSet::new();
             for &t in graph.neighbors(origin) {
                 let dw = part.owner_of(t) as usize;
                 if fanout.is_some() && dw != src {
                     prepaid_wire[dw] += mult;
                 }
-                let appended = deposit(&mut buckets, &mut slots, t, &msg, mult);
-                if caching && dw != src && appended {
-                    if primed.contains(&dw) {
-                        respond_hits[dw] += 1;
-                        cached_payload[dw] += msg.encoded_payload_bytes();
-                    } else {
-                        primed.insert(dw);
-                        respond_misses[dw] += 1;
-                    }
-                }
+                deposit(&mut buckets, &mut slots, t, &msg, mult);
             }
         }
 
@@ -1149,8 +873,8 @@ pub fn route_with<M: Message>(
             let mut flow = PairFlow::default();
             if !bucket.is_empty() || prepaid_net[dw] != 0 {
                 let tuples = bucket.len() as u64;
-                // Shard-stage appends: merges never append, so the
-                // bucket length is exactly the appended-envelope count.
+                // Merges never append, so the bucket length is exactly
+                // the written-envelope count.
                 flow.copy_bytes = tuples * env_bytes;
                 let wire: u64 = bucket.iter().map(|e| e.mult).sum();
                 let payload_units = if combine { tuples } else { wire };
@@ -1158,13 +882,10 @@ pub fn route_with<M: Message>(
                 flow.buffer_bytes = buffer_bytes;
                 flow.wire = wire;
                 flow.tuples = tuples;
-                flow.respond_hits = respond_hits[dw];
-                flow.respond_misses = respond_misses[dw];
                 // Wire-only, matching `finish_shard`: local buckets
                 // never serialize.
                 if compact && dw != src {
-                    let enc = wire::measure_bucket(&bucket, |v| locals.local_of(v))
-                        .saturating_sub(cached_payload[dw]);
+                    let enc = wire::measure_bucket(&bucket, |v| locals.local_of(v));
                     flow.encoded_bytes = enc;
                     let prepaid_units = prepaid_wire[dw].min(wire);
                     let kept = (enc * prepaid_units)
@@ -1215,60 +936,41 @@ pub fn route_with<M: Message>(
     (inboxes, stats)
 }
 
-/// Persistent state of the two-stage routing pipeline: the
-/// workers×workers shard matrix, per-pair flow cells, per-source
-/// combining slot maps, and per-destination offset buffers. Reused
-/// every round, and — through the [`Runner`](crate::Runner)'s round
-/// recycler — by every run of the runner, so steady-state routing
-/// allocates nothing.
+/// Persistent state of the routing pipeline: the workers×workers shard
+/// matrix, per-pair flow cells, per-source fold maps, and
+/// per-destination offset buffers. Reused every round, and — through
+/// the [`Runner`](crate::Runner)'s round recycler — by every run of the
+/// runner, so steady-state routing allocates nothing.
 // The shards are boxed on purpose (clippy's `vec_box` assumes the box
 // buys nothing inside a `Vec`): the transpose swaps the boxes, moving
-// 8-byte handles instead of ~330-byte shard structs.
+// 8-byte handles instead of ~300-byte shard structs.
 #[allow(clippy::vec_box)]
 pub struct RouteGrid<M> {
     workers: usize,
-    /// Row-major shards, `rows[src][dst]` — the layout stage 1 writes.
+    /// Row-major shards, `rows[src][dst]` — the layout the emit sinks
+    /// write.
     rows: Vec<Vec<Box<Shard<M>>>>,
-    /// Column-major shards, `cols[dst][src]` — the layout stage 2
+    /// Column-major shards, `cols[dst][src]` — the layout the merge
     /// reads. Each shard is boxed, so handing a column over swaps
     /// pointer-sized handles with the (empty) shards parked here;
     /// neither the shard structs nor their buffers ever move.
     cols: Vec<Vec<Box<Shard<M>>>>,
-    /// Flow cells, `flows[dst * workers + src]`, written by stage 2 in
-    /// disjoint per-destination chunks.
+    /// Flow cells, `flows[dst * workers + src]`, written by the merge
+    /// in disjoint per-destination chunks.
     flows: Vec<PairFlow>,
-    /// Per-source wire messages produced, written by stage 1.
+    /// Per-source wire messages produced, written by the emit sinks.
     sent: Vec<u64>,
-    /// Per-source flat-outbox emit-materialisation bytes, written by
-    /// stage 1 (all-zero on the fold-at-send path, which has no flat
-    /// outbox to materialise).
-    copied: Vec<u64>,
-    /// Per-source sender-combining slot maps.
-    slots: Vec<SenderSlots>,
+    /// Per-source sender-combining fallback maps.
+    maps: Vec<FoldMap>,
     /// Per-destination run-offset buffers (all-zero between rounds).
     counts: Vec<Vec<u32>>,
     /// Per-destination active-local-index scratch.
     active: Vec<Vec<u32>>,
     stats: RoutingStats,
-    /// Routing behaviour (wire format, adaptive combining, respond
-    /// cache). Default reproduces the historic pipeline bit-for-bit.
-    policy: RoutePolicy,
-    /// Adaptive combining state: next-round decision per source worker,
-    /// rounds spent off since the last probe, and the payload-unit
-    /// volume observed in the round that last voted the combiner off
-    /// (frontier-driven workloads are non-stationary, so a traffic
-    /// regime shift while sitting out forces an immediate re-probe).
-    combine_next: Vec<bool>,
-    since_probe: Vec<u32>,
-    off_sent: Vec<u64>,
-    off_streak: Vec<u32>,
-    /// Previous round's per-source payload units: rounds whose traffic
-    /// more than doubles over it are still ramping, and their fold
-    /// yields don't predict the saturated regime's — no verdict is
-    /// taken from them.
-    prev_sent: Vec<u64>,
-    /// This round's effective per-source combining decisions.
-    decisions: Vec<bool>,
+    /// The current round's combining flag and wire format, recorded by
+    /// [`Self::begin_round`].
+    combine: bool,
+    wire_format: WireFormat,
     /// When set, rounds routed by this grid are tagged as
     /// rollback-replay retransmissions in their [`RoutingStats`].
     replay: bool,
@@ -1288,18 +990,12 @@ impl<M: Message> RouteGrid<M> {
                 .collect(),
             flows: vec![PairFlow::default(); workers * workers],
             sent: vec![0; workers],
-            copied: vec![0; workers],
-            slots: (0..workers).map(|_| SenderSlots::default()).collect(),
+            maps: (0..workers).map(|_| FoldMap::default()).collect(),
             counts: (0..workers).map(|_| Vec::new()).collect(),
             active: (0..workers).map(|_| Vec::new()).collect(),
             stats: RoutingStats::new(workers),
-            policy: RoutePolicy::default(),
-            combine_next: vec![true; workers],
-            since_probe: vec![0; workers],
-            off_sent: vec![0; workers],
-            off_streak: vec![0; workers],
-            prev_sent: vec![0; workers],
-            decisions: vec![false; workers],
+            combine: false,
+            wire_format: WireFormat::default(),
             replay: false,
         }
     }
@@ -1308,23 +1004,6 @@ impl<M: Message> RouteGrid<M> {
     /// [`RoutingStats::replay`].
     pub fn set_replay(&mut self, replay: bool) {
         self.replay = replay;
-    }
-
-    /// Install a routing policy for subsequent rounds, resetting the
-    /// adaptive-combining state (combiners start on and must earn their
-    /// keep).
-    pub fn set_policy(&mut self, policy: RoutePolicy) {
-        self.policy = policy;
-        self.combine_next.iter_mut().for_each(|c| *c = true);
-        self.since_probe.iter_mut().for_each(|p| *p = 0);
-        self.off_sent.iter_mut().for_each(|s| *s = 0);
-        self.off_streak.iter_mut().for_each(|s| *s = 0);
-        self.prev_sent.iter_mut().for_each(|s| *s = 0);
-    }
-
-    /// The active routing policy.
-    pub fn policy(&self) -> RoutePolicy {
-        self.policy
     }
 
     /// True between rounds: every shard bucket has been merged away and
@@ -1336,150 +1015,9 @@ impl<M: Message> RouteGrid<M> {
             .all(|s| s.bucket.is_empty() && s.touched.is_empty())
     }
 
-    /// Route one round of traffic: drain `outboxes` into the grouped
-    /// `inboxes` (which must arrive empty; capacity is reused) and
-    /// return the round's statistics. With `pool: Some`, the shard
-    /// stage fans out over source workers and the merge stage over
-    /// destination workers, each job pinned to its worker's pool
-    /// thread; with `None`, both stages run inline. Results are
-    /// identical either way, and bit-identical to [`route`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn route_round(
-        &mut self,
-        pool: Option<&WorkerPool>,
-        outboxes: &mut [Outbox<M>],
-        inboxes: &mut [Inbox<M>],
-        graph: &Graph,
-        part: &Partition,
-        locals: &LocalIndex,
-        mirrors: Option<&MirrorIndex>,
-        combine: bool,
-        msg_bytes: u64,
-    ) -> &RoutingStats {
-        let workers = self.workers;
-        assert_eq!(outboxes.len(), workers, "one outbox per worker");
-        assert_eq!(inboxes.len(), workers, "one inbox per worker");
-
-        self.compute_decisions(combine);
-        let policy = self.policy;
-
-        // ---- stage 1: shard + combine, parallel over sources --------
-        // Lane assignment is `worker % pool.workers()`: normally the
-        // pool is partition-sized and this is the identity, but it also
-        // keeps a smaller pool (fewer cores than workers) correct.
-        match pool {
-            Some(pool) => pool.scope(|s| {
-                let lanes = pool.workers();
-                for (src, (((((outbox, row), sent), copied), slots), &dec)) in outboxes
-                    .iter_mut()
-                    .zip(self.rows.iter_mut())
-                    .zip(self.sent.iter_mut())
-                    .zip(self.copied.iter_mut())
-                    .zip(self.slots.iter_mut())
-                    .zip(self.decisions.iter())
-                    .enumerate()
-                {
-                    s.run_on(src % lanes, move || {
-                        (*sent, *copied) = shard_outbox(
-                            src, outbox, graph, part, locals, mirrors, dec, msg_bytes, &policy,
-                            row, slots,
-                        );
-                    });
-                }
-            }),
-            None => {
-                for (src, (((((outbox, row), sent), copied), slots), &dec)) in outboxes
-                    .iter_mut()
-                    .zip(self.rows.iter_mut())
-                    .zip(self.sent.iter_mut())
-                    .zip(self.copied.iter_mut())
-                    .zip(self.slots.iter_mut())
-                    .zip(self.decisions.iter())
-                    .enumerate()
-                {
-                    (*sent, *copied) = shard_outbox(
-                        src, outbox, graph, part, locals, mirrors, dec, msg_bytes, &policy, row,
-                        slots,
-                    );
-                }
-            }
-        }
-
-        self.adaptive_update(combine);
-        self.merge_and_reduce(pool, inboxes, locals)
-    }
-
-    /// Compute this round's effective per-source combining decisions:
-    /// the profile flag, gated by the adaptive toggle's last verdict
-    /// when enabled. Called at the top of [`Self::route_round`], and by
-    /// [`Self::begin_round`] on the fold-at-send path — in both cases
-    /// *before* any traffic of the round is observed, so the two paths
-    /// see identical decisions (adaptive state only changes during
-    /// routing).
-    fn compute_decisions(&mut self, combine: bool) {
-        for (src, dec) in self.decisions.iter_mut().enumerate() {
-            *dec = combine && (!self.policy.adaptive_combine || self.combine_next[src]);
-        }
-    }
-
-    /// Adaptive update: a source that combined this round keeps its
-    /// combiner iff the fold yield met the threshold; a source that
-    /// sat out re-probes every ADAPTIVE_PROBE_PERIOD rounds, or
-    /// immediately once its payload-unit volume grows past twice
-    /// what the OFF-voting round saw — frontier algorithms ramp from
-    /// sparse (low-yield) early rounds into dense (high-yield)
-    /// saturation, and waiting out the full period there forfeits
-    /// the combiner's best rounds. Pure per-source arithmetic on
-    /// stage-1 counters, so pooled and serial execution decide
-    /// identically (and the fold-at-send path, whose counters accrue
-    /// during compute instead, decides identically too).
-    fn adaptive_update(&mut self, combine: bool) {
-        let workers = self.workers;
-        if combine && self.policy.adaptive_combine {
-            let min_tries = self.policy.adaptive_min_tries.max(1);
-            for src in 0..workers {
-                // A round whose traffic more than doubled is still
-                // ramping: its fold yield reflects a sparse frontier,
-                // not the saturated regime the decision is for, so it
-                // casts no verdict (and round one always ramps).
-                let ramping = self.sent[src] > self.prev_sent[src].saturating_mul(2);
-                if self.decisions[src] {
-                    let (h, t) = (self.slots[src].hits, self.slots[src].tries);
-                    // Below the probe floor (idle workers included) the
-                    // round has no signal: stay armed.
-                    if t < min_tries || ramping {
-                        self.combine_next[src] = true;
-                    } else if h * ADAPTIVE_HIT_RATE_DEN >= t * ADAPTIVE_HIT_RATE_NUM {
-                        self.combine_next[src] = true;
-                        self.off_streak[src] = 0;
-                    } else {
-                        self.off_streak[src] += 1;
-                        self.combine_next[src] = self.off_streak[src] < ADAPTIVE_OFF_STRIKES;
-                        if !self.combine_next[src] {
-                            self.off_sent[src] = self.sent[src].max(1);
-                        }
-                    }
-                    self.since_probe[src] = 0;
-                } else {
-                    self.since_probe[src] += 1;
-                    let regime_shift = self.sent[src] > self.off_sent[src].saturating_mul(2);
-                    if self.since_probe[src] >= ADAPTIVE_PROBE_PERIOD || regime_shift {
-                        // Re-enter one strike short: the evidence that
-                        // evicted this worker still stands, so one bad
-                        // probe round sends it straight back off.
-                        self.combine_next[src] = true;
-                        self.since_probe[src] = 0;
-                        self.off_streak[src] = ADAPTIVE_OFF_STRIKES - 1;
-                    }
-                }
-                self.prev_sent[src] = self.sent[src];
-            }
-        }
-    }
-
     /// Swap every `rows[src][dst]` handle with `cols[dst][src]`: one
     /// pointer swap per pair, and its own inverse, so the same call
-    /// hands the filled shards to the merge stage and takes them back.
+    /// hands the filled shards to the merge and takes them back.
     fn transpose(&mut self) {
         for (src, row) in self.rows.iter_mut().enumerate() {
             for (dst, shard) in row.iter_mut().enumerate() {
@@ -1488,22 +1026,112 @@ impl<M: Message> RouteGrid<M> {
         }
     }
 
-    /// Stage 2 plus reduction, shared by both routing paths: transpose
-    /// the shard matrix, merge each destination's column into its
-    /// grouped inbox, transpose back, and fold the per-pair flows into
-    /// the round's [`RoutingStats`].
-    fn merge_and_reduce(
+    /// Part 1 of 3: start a round whose envelopes the compute phase
+    /// will emit straight into the shard matrix (via
+    /// [`Self::emit_sinks`]). Records the round's combining flag and
+    /// wire format and readies every source's shard row and fold map.
+    /// Call once per round, before handing out sinks.
+    pub fn begin_round(&mut self, combine: bool, wire_format: WireFormat, locals: &LocalIndex) {
+        self.combine = combine;
+        self.wire_format = wire_format;
+        for (row, map) in self.rows.iter_mut().zip(self.maps.iter_mut()) {
+            debug_assert!(
+                row.iter().all(|s| s.bucket.is_empty()),
+                "shard rows must be drained between rounds"
+            );
+            prepare_shards(row, locals, combine);
+            if combine {
+                map.clear();
+            }
+        }
+        self.sent.iter_mut().for_each(|s| *s = 0);
+    }
+
+    /// Part 2 of 3: one [`ShardedOutbox`] emit sink per source worker,
+    /// in worker order. Each sink borrows its worker's shard row, fold
+    /// map, and wire counter disjointly, so the compute phase can drive
+    /// all of them in parallel. Valid for one round, after
+    /// [`Self::begin_round`].
+    pub fn emit_sinks<'a>(
+        &'a mut self,
+        graph: &'a Graph,
+        part: &'a Partition,
+        locals: &'a LocalIndex,
+        mirrors: Option<&'a MirrorIndex>,
+        msg_bytes: u64,
+    ) -> impl Iterator<Item = ShardedOutbox<'a, M>> + 'a {
+        let combine = self.combine;
+        let compact = self.wire_format == WireFormat::Compact;
+        self.rows
+            .iter_mut()
+            .zip(self.maps.iter_mut())
+            .zip(self.sent.iter_mut())
+            .enumerate()
+            .map(move |(src, ((row, map), sent))| ShardedOutbox {
+                src,
+                shards: row.as_mut_slice(),
+                map,
+                sent,
+                graph,
+                part,
+                locals,
+                mirrors,
+                combine,
+                compact,
+                msg_bytes,
+                state_bytes_added: 0,
+            })
+    }
+
+    /// Part 3 of 3: finish the round after the compute phase filled the
+    /// shard matrix through its sinks. Measures every pair's flow,
+    /// merges each destination's shard column into its grouped inbox
+    /// (`inboxes` must arrive empty; capacity is reused), and folds the
+    /// per-pair flows into the round's statistics. With `pool: Some`,
+    /// the measurement fans out over source workers and the merge over
+    /// destination workers, each job pinned to its worker's pool
+    /// thread; with `None`, both run inline. Results are identical
+    /// either way, and bit-identical to [`route`] over the same
+    /// emissions.
+    pub fn route_presharded(
         &mut self,
         pool: Option<&WorkerPool>,
         inboxes: &mut [Inbox<M>],
         locals: &LocalIndex,
+        msg_bytes: u64,
     ) -> &RoutingStats {
         let workers = self.workers;
+        assert_eq!(inboxes.len(), workers, "one inbox per worker");
+        let combine = self.combine;
+        let compact = self.wire_format == WireFormat::Compact;
+        let finish_row = move |src: usize, row: &mut [Box<Shard<M>>]| {
+            for (dst, shard) in row.iter_mut().enumerate() {
+                finish_shard(src, dst, shard, combine, msg_bytes, compact);
+            }
+        };
+
+        // ---- measure: shard content is final once compute ended ----
+        // Lane assignment is `worker % pool.workers()`: normally the
+        // pool is partition-sized and this is the identity, but it also
+        // keeps a smaller pool (fewer cores than workers) correct.
+        match pool {
+            Some(pool) => pool.scope(|s| {
+                let lanes = pool.workers();
+                for (src, row) in self.rows.iter_mut().enumerate() {
+                    s.run_on(src % lanes, move || finish_row(src, row));
+                }
+            }),
+            None => {
+                for (src, row) in self.rows.iter_mut().enumerate() {
+                    finish_row(src, row);
+                }
+            }
+        }
 
         // ---- transpose: hand each destination its shard column -----
         self.transpose();
 
-        // ---- stage 2: grouped merge, parallel over destinations ----
+        // ---- merge: grouped inboxes, parallel over destinations ----
         match pool {
             Some(pool) => pool.scope(|s| {
                 let lanes = pool.workers();
@@ -1537,15 +1165,13 @@ impl<M: Message> RouteGrid<M> {
         }
 
         // ---- transpose back: return drained shards (and their
-        // capacity) to the stage-1 layout for the next round ---------
+        // capacity) to the row layout for the next round -------------
         self.transpose();
 
         // ---- reduction: fold per-pair flows into round stats -------
         self.stats.reset();
         self.stats.replay = self.replay;
         self.stats.sent_wire = self.sent.iter().sum();
-        self.stats.shard_copy_bytes = self.copied.iter().sum();
-        self.stats.combine_on.copy_from_slice(&self.decisions);
         for src in 0..workers {
             for dst in 0..workers {
                 let flow = self.flows[dst * workers + src];
@@ -1554,135 +1180,12 @@ impl<M: Message> RouteGrid<M> {
         }
         &self.stats
     }
-
-    /// Fold-at-send entry point, part 1 of 3: prepare the grid for a
-    /// round whose envelopes will be emitted straight into the shard
-    /// matrix by the compute phase (via [`Self::emit_sinks`]) instead
-    /// of through flat outboxes. Computes the round's combining
-    /// decisions and readies every source's shard row and slot map —
-    /// work [`shard_outbox`] does lazily at the top of stage 1, which
-    /// here must happen before `compute()` runs. Call once per round,
-    /// before handing out sinks.
-    pub fn begin_round(&mut self, combine: bool, locals: &LocalIndex) {
-        self.compute_decisions(combine);
-        let workers = self.workers;
-        for ((row, slots), &dec) in self
-            .rows
-            .iter_mut()
-            .zip(self.slots.iter_mut())
-            .zip(self.decisions.iter())
-        {
-            debug_assert!(
-                row.iter().all(|s| s.bucket.is_empty()),
-                "shard rows must be drained between rounds"
-            );
-            prepare_shards(row, locals, dec);
-            prepare_slots(slots, dec, workers);
-        }
-        self.sent.iter_mut().for_each(|s| *s = 0);
-        // No flat outbox exists on this path, so no emit-
-        // materialisation bytes accrue: survivors are written exactly
-        // once, by `append_env`.
-        self.copied.iter_mut().for_each(|c| *c = 0);
-    }
-
-    /// Fold-at-send entry point, part 2 of 3: one [`ShardedOutbox`]
-    /// emit sink per source worker, in worker order. Each sink borrows
-    /// its worker's shard row, slot map, and wire counter disjointly,
-    /// so the compute phase can drive all of them in parallel. Valid
-    /// for one round, after [`Self::begin_round`].
-    pub fn emit_sinks<'a>(
-        &'a mut self,
-        graph: &'a Graph,
-        part: &'a Partition,
-        locals: &'a LocalIndex,
-        mirrors: Option<&'a MirrorIndex>,
-        msg_bytes: u64,
-    ) -> impl Iterator<Item = ShardedOutbox<'a, M>> + 'a {
-        let policy = self.policy;
-        self.rows
-            .iter_mut()
-            .zip(self.slots.iter_mut())
-            .zip(self.sent.iter_mut())
-            .zip(self.decisions.iter())
-            .enumerate()
-            .map(move |(src, (((row, slots), sent), &dec))| ShardedOutbox {
-                src,
-                shards: row.as_mut_slice(),
-                slots,
-                sent,
-                graph,
-                part,
-                locals,
-                mirrors,
-                combine: dec,
-                msg_bytes,
-                policy,
-                state_bytes_added: 0,
-            })
-    }
-
-    /// Fold-at-send entry point, part 3 of 3: finish the round after
-    /// the compute phase filled the shard matrix through its sinks.
-    /// Measures every pair's flow (the stage-1 epilogue), updates the
-    /// adaptive-combining state, and runs the shared merge + reduction
-    /// — bit-identical inboxes and statistics to routing the same
-    /// emissions through [`Self::route_round`], except that
-    /// [`RoutingStats::shard_copy_bytes`] reflects the copies this
-    /// path never performed.
-    pub fn route_presharded(
-        &mut self,
-        pool: Option<&WorkerPool>,
-        inboxes: &mut [Inbox<M>],
-        locals: &LocalIndex,
-        msg_bytes: u64,
-        combine: bool,
-    ) -> &RoutingStats {
-        let workers = self.workers;
-        assert_eq!(inboxes.len(), workers, "one inbox per worker");
-        let policy = self.policy;
-
-        // Stage-1 epilogue: shard content is final once compute ended,
-        // so measure each pair's flow. Parallel over sources, like the
-        // stage it completes.
-        match pool {
-            Some(pool) => pool.scope(|s| {
-                let lanes = pool.workers();
-                for (src, (row, &dec)) in
-                    self.rows.iter_mut().zip(self.decisions.iter()).enumerate()
-                {
-                    s.run_on(src % lanes, move || {
-                        for (dst, shard) in row.iter_mut().enumerate() {
-                            finish_shard(src, dst, shard, dec, msg_bytes, &policy);
-                        }
-                    });
-                }
-            }),
-            None => {
-                for (src, (row, &dec)) in
-                    self.rows.iter_mut().zip(self.decisions.iter()).enumerate()
-                {
-                    for (dst, shard) in row.iter_mut().enumerate() {
-                        finish_shard(src, dst, shard, dec, msg_bytes, &policy);
-                    }
-                }
-            }
-        }
-
-        self.adaptive_update(combine);
-        self.merge_and_reduce(pool, inboxes, locals)
-    }
 }
 
-/// Per-source emit sink for the fold-at-send pre-sharded path: the
-/// compute phase's `send()`/`broadcast()` land here and are routed
-/// straight into the destination worker's [`Shard`] — probing the fold
-/// table at emission time — instead of being materialised in a flat
-/// [`Outbox`] for [`shard_outbox`] to re-walk. Folded envelopes are
-/// never written anywhere; survivors are written exactly once. All
-/// accounting (`sent_wire`, prepaid mirror bytes, the request-respond
-/// cache, fold-yield counters) is the same code the flat path runs, so
-/// the two paths stay bit-identical in traffic and statistics.
+/// Per-source emit sink: the compute phase's `send()`/`broadcast()`
+/// land here and are routed straight into the destination worker's
+/// [`Shard`], probing the fold table at emission time. Folded envelopes
+/// are never written anywhere; survivors are written exactly once.
 ///
 /// Obtained from [`RouteGrid::emit_sinks`] after
 /// [`RouteGrid::begin_round`]; handed to the compute phase as its
@@ -1690,19 +1193,18 @@ impl<M: Message> RouteGrid<M> {
 pub struct ShardedOutbox<'a, M: Message> {
     src: usize,
     shards: &'a mut [Box<Shard<M>>],
-    slots: &'a mut SenderSlots,
+    map: &'a mut FoldMap,
     sent: &'a mut u64,
     graph: &'a Graph,
     part: &'a Partition,
     locals: &'a LocalIndex,
     mirrors: Option<&'a MirrorIndex>,
-    /// This source's effective combining decision for the round.
     combine: bool,
+    /// Price mirror transfers in compact encoded bytes too.
+    compact: bool,
     msg_bytes: u64,
-    policy: RoutePolicy,
-    /// Exact-store-bytes escape hatch, mirroring
-    /// [`Outbox::state_bytes_added`]: the runner reads it back after
-    /// the compute phase.
+    /// State bytes declared by compute calls this round; the runner
+    /// reads it back after the compute phase.
     pub state_bytes_added: u64,
 }
 
@@ -1716,19 +1218,18 @@ impl<M: Message> EmitSink<M> for ShardedOutbox<'_, M> {
             self.locals,
             self.combine,
             self.shards,
-            self.slots,
+            self.map,
         );
     }
 
     fn emit_broadcast(&mut self, origin: VertexId, msg: M, mult: u64) {
-        let degree = self.graph.degree(origin) as u64;
-        *self.sent += degree * mult;
-        let compact = self.policy.wire_format == WireFormat::Compact;
-        match self.mirrors.and_then(|m| m.fanout(origin)) {
+        *self.sent += self.graph.degree(origin) as u64 * mult;
+        // A mirrored origin pays one wire transfer per remote mirror
+        // worker in place of the per-neighbor wire cost of its remote
+        // fan-out.
+        let mirrored = match self.mirrors.and_then(|m| m.fanout(origin)) {
             Some(mirror_workers) => {
-                // One wire transfer per remote mirror worker replaces
-                // the per-neighbor wire cost of all remote fan-outs.
-                let enc_xfer = if compact {
+                let enc_xfer = if self.compact {
                     (MIRROR_ENC_OVERHEAD + msg.encoded_payload_bytes()) * mult
                 } else {
                     0
@@ -1737,56 +1238,25 @@ impl<M: Message> EmitSink<M> for ShardedOutbox<'_, M> {
                     self.shards[mw as usize].prepaid_net += self.msg_bytes * mult;
                     self.shards[mw as usize].prepaid_net_encoded += enc_xfer;
                 }
-                for &t in self.graph.neighbors(origin) {
-                    let dw = self.part.owner_of(t) as usize;
-                    if dw != self.src {
-                        self.shards[dw].prepaid_wire += mult;
-                    }
-                    push_broadcast(
-                        t,
-                        &msg,
-                        mult,
-                        dw,
-                        self.locals,
-                        self.combine,
-                        self.shards,
-                        self.slots,
-                    );
-                }
+                true
             }
-            None => {
-                // Unmirrored broadcast: ordinary per-neighbor sends,
-                // with the request-respond cache eliding repeat
-                // payloads to the same remote worker for high-degree
-                // origins.
-                let caching = self.policy.respond_cache_threshold != 0
-                    && degree >= self.policy.respond_cache_threshold as u64;
-                if caching {
-                    self.slots.epoch += 1;
-                }
-                for &t in self.graph.neighbors(origin) {
-                    let dw = self.part.owner_of(t) as usize;
-                    let appended = push_broadcast(
-                        t,
-                        &msg,
-                        mult,
-                        dw,
-                        self.locals,
-                        self.combine,
-                        self.shards,
-                        self.slots,
-                    );
-                    if caching && dw != self.src && appended {
-                        if self.slots.seen[dw] == self.slots.epoch {
-                            self.shards[dw].respond_hits += 1;
-                            self.shards[dw].cached_payload += msg.encoded_payload_bytes();
-                        } else {
-                            self.slots.seen[dw] = self.slots.epoch;
-                            self.shards[dw].respond_misses += 1;
-                        }
-                    }
-                }
+            None => false,
+        };
+        for &t in self.graph.neighbors(origin) {
+            let dw = self.part.owner_of(t) as usize;
+            if mirrored && dw != self.src {
+                self.shards[dw].prepaid_wire += mult;
             }
+            push_broadcast(
+                t,
+                &msg,
+                mult,
+                dw,
+                self.locals,
+                self.combine,
+                self.shards,
+                self.map,
+            );
         }
     }
 
@@ -1842,7 +1312,16 @@ mod tests {
         ob0.sends.push(Envelope::new(1, Src(0), 1)); // 0 -> w0 local
         ob0.sends.push(Envelope::new(5, Src(0), 2)); // 0 -> w1 remote
         let ob1: Outbox<Src> = Outbox::new();
-        let (inboxes, stats) = route(vec![ob0, ob1], &g, &p, &l, None, false, 16);
+        let (inboxes, stats) = route(
+            vec![ob0, ob1],
+            &g,
+            &p,
+            &l,
+            None,
+            false,
+            16,
+            WireFormat::Tuples,
+        );
         assert_eq!(stats.sent_wire, 3);
         assert_eq!(stats.local_bytes, 16);
         assert_eq!(stats.net_out_bytes, vec![32, 0]);
@@ -1859,7 +1338,16 @@ mod tests {
         ob0.sends.push(Envelope::new(5, Src(7), 2));
         ob0.sends.push(Envelope::new(5, Src(7), 3));
         ob0.sends.push(Envelope::new(5, Src(8), 1)); // different key
-        let (inboxes, stats) = route(vec![ob0, Outbox::new()], &g, &p, &l, None, true, 16);
+        let (inboxes, stats) = route(
+            vec![ob0, Outbox::new()],
+            &g,
+            &p,
+            &l,
+            None,
+            true,
+            16,
+            WireFormat::Tuples,
+        );
         assert_eq!(stats.sent_wire, 6);
         assert_eq!(stats.delivered_tuples, 2);
         assert_eq!(stats.in_wire[1], 6);
@@ -1895,7 +1383,16 @@ mod tests {
         ob0.sends.push(Envelope::new(5, Key64(u64::MAX), 1));
         ob0.sends.push(Envelope::new(5, Key64(u64::MAX), 4));
         ob0.sends.push(Envelope::new(5, Key64(7), 2));
-        let (inboxes, stats) = route(vec![ob0, Outbox::new()], &g, &p, &l, None, true, 16);
+        let (inboxes, stats) = route(
+            vec![ob0, Outbox::new()],
+            &g,
+            &p,
+            &l,
+            None,
+            true,
+            16,
+            WireFormat::Tuples,
+        );
         assert_eq!(stats.sent_wire, 13);
         assert_eq!(stats.delivered_tuples, 3, "three distinct keys");
         // First-send order with per-key mult sums, dense and fallback
@@ -1913,7 +1410,16 @@ mod tests {
         let (g, p, l) = two_worker_setup();
         let mut ob0: Outbox<Src> = Outbox::new();
         ob0.sends.push(Envelope::new(5, Src(7), 5));
-        let (_, stats) = route(vec![ob0, Outbox::new()], &g, &p, &l, None, false, 16);
+        let (_, stats) = route(
+            vec![ob0, Outbox::new()],
+            &g,
+            &p,
+            &l,
+            None,
+            false,
+            16,
+            WireFormat::Tuples,
+        );
         assert_eq!(stats.net_in_bytes[1], 80);
     }
 
@@ -1923,7 +1429,16 @@ mod tests {
         let mut ob0: Outbox<Src> = Outbox::new();
         // Vertex 0's neighbors on the ring: 1 (w0) and 7 (w1).
         ob0.broadcasts.push((0, Src(0), 1));
-        let (inboxes, stats) = route(vec![ob0, Outbox::new()], &g, &p, &l, None, false, 16);
+        let (inboxes, stats) = route(
+            vec![ob0, Outbox::new()],
+            &g,
+            &p,
+            &l,
+            None,
+            false,
+            16,
+            WireFormat::Tuples,
+        );
         assert_eq!(stats.sent_wire, 2);
         assert_eq!(inboxes[0].len(), 1);
         assert_eq!(inboxes[1].len(), 1);
@@ -1941,7 +1456,7 @@ mod tests {
         ob0.broadcasts.push((0, Src(0), 1));
         let mut obs = vec![ob0];
         obs.extend((1..4).map(|_| Outbox::new()));
-        let (inboxes, stats) = route(obs, &g, &p, &l, Some(&idx), false, 16);
+        let (inboxes, stats) = route(obs, &g, &p, &l, Some(&idx), false, 16, WireFormat::Tuples);
         // All 16 leaves receive a message.
         let delivered: usize = inboxes.iter().map(|i| i.len()).sum();
         assert_eq!(delivered, 16);
@@ -1963,7 +1478,7 @@ mod tests {
         ob0.sends.push(Envelope::new(16, Src(9), 1)); // plain remote send
         let mut obs = vec![ob0];
         obs.extend((1..4).map(|_| Outbox::new()));
-        let (_, stats) = route(obs, &g, &p, &l, Some(&idx), false, 16);
+        let (_, stats) = route(obs, &g, &p, &l, Some(&idx), false, 16, WireFormat::Tuples);
         // 3 mirror transfers + 1 plain remote send.
         let total_net: u64 = stats.net_out_bytes.iter().sum();
         assert_eq!(total_net, 4 * 16);
@@ -1985,7 +1500,16 @@ mod tests {
         ob0.sends.push(Envelope::new(1, NoKey, 1));
         ob0.sends.push(Envelope::new(1, NoKey, 1));
         ob0.sends.push(Envelope::new(1, NoKey, 1));
-        let (inboxes, stats) = route(vec![ob0, Outbox::new()], &g, &p, &l, None, true, 16);
+        let (inboxes, stats) = route(
+            vec![ob0, Outbox::new()],
+            &g,
+            &p,
+            &l,
+            None,
+            true,
+            16,
+            WireFormat::Tuples,
+        );
         assert_eq!(stats.delivered_tuples, 3);
         assert_eq!(inboxes[0].len(), 3);
     }
@@ -2014,7 +1538,16 @@ mod tests {
         ] {
             ob0.sends.push(Envelope::new(1, msg, 1));
         }
-        let (inboxes, _) = route(vec![ob0, Outbox::new()], &g, &p, &l, None, true, 16);
+        let (inboxes, _) = route(
+            vec![ob0, Outbox::new()],
+            &g,
+            &p,
+            &l,
+            None,
+            true,
+            16,
+            WireFormat::Tuples,
+        );
         // 1 merged MAX-keyed delivery (mult 3) + 2 unkeyed kept verbatim.
         assert_eq!(inboxes[0].len(), 3);
         let max_keyed: Vec<&Delivery<MaybeKey>> = inboxes[0]
@@ -2035,7 +1568,16 @@ mod tests {
             ob0.sends.push(Envelope::new(6, Src(2), 1));
             let mut ob1: Outbox<Src> = Outbox::new();
             ob1.sends.push(Envelope::new(5, Src(3), 1));
-            route(vec![ob0, ob1], &g, &p, &l, None, false, 8)
+            route(
+                vec![ob0, ob1],
+                &g,
+                &p,
+                &l,
+                None,
+                false,
+                8,
+                WireFormat::Tuples,
+            )
         };
         let (a, _) = make();
         let (b, _) = make();
@@ -2052,7 +1594,16 @@ mod tests {
         ob0.sends.push(Envelope::new(7, Src(3), 1));
         let mut ob1: Outbox<Src> = Outbox::new();
         ob1.sends.push(Envelope::new(5, Src(4), 1));
-        let (inboxes, _) = route(vec![ob0, ob1], &g, &p, &l, None, false, 8);
+        let (inboxes, _) = route(
+            vec![ob0, ob1],
+            &g,
+            &p,
+            &l,
+            None,
+            false,
+            8,
+            WireFormat::Tuples,
+        );
         let runs: Vec<(VertexId, u32, Vec<u32>)> = inboxes[1]
             .iter_runs()
             .map(|(dest, li, ds)| (dest, li, ds.iter().map(|d| d.msg.0).collect()))
@@ -2060,6 +1611,28 @@ mod tests {
         // Ascending local index; within a run, source order then send
         // order: vertex 5 hears Src(2) from w0 before Src(4) from w1.
         assert_eq!(runs, vec![(5, 1, vec![2, 4]), (7, 3, vec![1, 3])]);
+    }
+
+    /// Route `outboxes` through the grid's emit sinks — the engine's
+    /// one pipeline — and return the round's statistics.
+    #[allow(clippy::too_many_arguments)]
+    fn grid_round(
+        grid: &mut RouteGrid<Src>,
+        pool: Option<&WorkerPool>,
+        outboxes: Vec<Outbox<Src>>,
+        inboxes: &mut [Inbox<Src>],
+        g: &Graph,
+        p: &Partition,
+        l: &LocalIndex,
+        mirrors: Option<&MirrorIndex>,
+        combine: bool,
+        wire_format: WireFormat,
+    ) -> RoutingStats {
+        grid.begin_round(combine, wire_format, l);
+        for (mut sink, mut ob) in grid.emit_sinks(g, p, l, mirrors, 16).zip(outboxes) {
+            ob.drain_into(&mut sink);
+        }
+        grid.route_presharded(pool, inboxes, l, 16).clone()
     }
 
     #[test]
@@ -2078,24 +1651,33 @@ mod tests {
             obs
         };
         for combine in [false, true] {
-            let (want_in, want_stats) = route(make_outboxes(), &g, &p, &l, Some(&idx), combine, 16);
+            let (want_in, want_stats) = route(
+                make_outboxes(),
+                &g,
+                &p,
+                &l,
+                Some(&idx),
+                combine,
+                16,
+                WireFormat::Tuples,
+            );
             for pooled in [false, true] {
                 let pool = pooled.then(|| WorkerPool::new(4));
                 let mut grid: RouteGrid<Src> = RouteGrid::new(4);
-                let mut outboxes = make_outboxes();
                 let mut inboxes: Vec<Inbox<Src>> = (0..4).map(|_| Inbox::new()).collect();
-                let stats = grid.route_round(
+                let stats = grid_round(
+                    &mut grid,
                     pool.as_ref(),
-                    &mut outboxes,
+                    make_outboxes(),
                     &mut inboxes,
                     &g,
                     &p,
                     &l,
                     Some(&idx),
                     combine,
-                    16,
+                    WireFormat::Tuples,
                 );
-                assert_eq!(stats, &want_stats, "combine={combine} pooled={pooled}");
+                assert_eq!(stats, want_stats, "combine={combine} pooled={pooled}");
                 assert_eq!(inboxes, want_in, "combine={combine} pooled={pooled}");
             }
         }
@@ -2107,10 +1689,6 @@ mod tests {
         let p = RangePartitioner.partition(&g, 4);
         let l = LocalIndex::build(&p);
         let idx = MirrorIndex::build(&g, &p, 4);
-        let policy = RoutePolicy {
-            wire_format: WireFormat::Compact,
-            ..RoutePolicy::default()
-        };
         let make_outboxes = || {
             let mut ob0: Outbox<Src> = Outbox::new();
             ob0.broadcasts.push((0, Src(0), 1));
@@ -2121,7 +1699,7 @@ mod tests {
             obs
         };
         for combine in [false, true] {
-            let (want_in, want_stats) = route_with(
+            let (want_in, want_stats) = route(
                 make_outboxes(),
                 &g,
                 &p,
@@ -2129,7 +1707,7 @@ mod tests {
                 Some(&idx),
                 combine,
                 16,
-                &policy,
+                WireFormat::Compact,
             );
             assert!(want_stats.encoded_wire_bytes > 0);
             let estimate: u64 = want_stats.out_buffer_bytes.iter().sum();
@@ -2140,125 +1718,21 @@ mod tests {
                 estimate
             );
             let mut grid: RouteGrid<Src> = RouteGrid::new(4);
-            grid.set_policy(policy);
-            let mut outboxes = make_outboxes();
             let mut inboxes: Vec<Inbox<Src>> = (0..4).map(|_| Inbox::new()).collect();
-            let stats = grid.route_round(
+            let stats = grid_round(
+                &mut grid,
                 None,
-                &mut outboxes,
+                make_outboxes(),
                 &mut inboxes,
                 &g,
                 &p,
                 &l,
                 Some(&idx),
                 combine,
-                16,
+                WireFormat::Compact,
             );
-            assert_eq!(stats, &want_stats, "combine={combine}");
+            assert_eq!(stats, want_stats, "combine={combine}");
             assert_eq!(inboxes, want_in, "combine={combine}");
-        }
-    }
-
-    #[test]
-    fn respond_cache_counts_hits_and_elides_payload() {
-        // Unmirrored star broadcast: hub 0 fans 16 copies to 4 workers;
-        // each remote worker gets 1 prime + 3 cache hits.
-        let g = generators::star(17);
-        let p = RangePartitioner.partition(&g, 4);
-        let l = LocalIndex::build(&p);
-        let policy = |threshold| RoutePolicy {
-            wire_format: WireFormat::Compact,
-            respond_cache_threshold: threshold,
-            ..RoutePolicy::default()
-        };
-        let run = |pol: RoutePolicy| {
-            let mut ob0: Outbox<Src> = Outbox::new();
-            ob0.broadcasts.push((0, Src(0), 1));
-            let mut obs = vec![ob0];
-            obs.extend((1..4).map(|_| Outbox::new()));
-            route_with(obs, &g, &p, &l, None, false, 16, &pol)
-        };
-        let (in_off, off) = run(policy(0));
-        let (in_on, on) = run(policy(8));
-        assert_eq!(in_on, in_off, "the cache is accounting-only");
-        assert_eq!(off.respond_hits, 0);
-        assert_eq!(off.respond_misses, 0);
-        // Worker 0 owns hub + leaves 1..4 (local, uncached); workers
-        // 1..3 each receive 4 copies: 1 miss + 3 hits.
-        assert_eq!(on.respond_misses, 3);
-        assert_eq!(on.respond_hits, 9);
-        // Each hit elides one 8-byte default payload.
-        assert_eq!(on.encoded_wire_bytes + 9 * 8, off.encoded_wire_bytes);
-        assert_eq!(on.sent_wire, off.sent_wire, "wire count never changes");
-        // A threshold above the hub degree leaves the cache cold.
-        let (_, over) = run(policy(64));
-        assert_eq!(over.respond_hits, 0);
-        assert_eq!(over.encoded_wire_bytes, off.encoded_wire_bytes);
-    }
-
-    #[test]
-    fn adaptive_combining_turns_off_on_low_hit_rate_and_reprobes() {
-        // All-distinct destinations: combining probes every envelope
-        // and never merges (fold yield 0), so the adaptive toggle must
-        // shut it off after two strikes and re-probe later. The probe
-        // floor drops to 1 so these eight-envelope rounds count as
-        // full-signal rounds; constant traffic volume means round 0 is
-        // the only ramp round (no verdict) and no regime-shift
-        // re-probe fires while the combiner sits out.
-        let (g, p, l) = two_worker_setup();
-        let mut grid: RouteGrid<Src> = RouteGrid::new(2);
-        grid.set_policy(RoutePolicy {
-            adaptive_combine: true,
-            adaptive_min_tries: 1,
-            ..RoutePolicy::default()
-        });
-        let mut inboxes: Vec<Inbox<Src>> = (0..2).map(|_| Inbox::new()).collect();
-        let mut on_rounds = Vec::new();
-        for _round in 0..ADAPTIVE_PROBE_PERIOD + 4 {
-            let mut obs: Vec<Outbox<Src>> = vec![Outbox::new(), Outbox::new()];
-            for d in 0..8u32 {
-                obs[0].sends.push(Envelope::new(d, Src(d), 1));
-            }
-            let stats = grid.route_round(None, &mut obs, &mut inboxes, &g, &p, &l, None, true, 8);
-            assert_eq!(stats.sent_wire, 8);
-            assert_eq!(stats.delivered_tuples, 8);
-            on_rounds.push(stats.combine_on[0]);
-            // An idle worker observes no probes (t == 0) and keeps its
-            // combiner armed.
-            assert!(stats.combine_on[1]);
-            inboxes.iter_mut().for_each(|i| i.clear());
-        }
-        // Round 0 ramps (no verdict), rounds 1-2 strike, rounds
-        // 3..PROBE_PERIOD+3 stay OFF, then one probe round turns it
-        // back ON — and, re-entering one strike short, a single bad
-        // verdict would evict it again.
-        assert!(on_rounds[0] && on_rounds[1] && on_rounds[2]);
-        assert!(on_rounds[3..ADAPTIVE_PROBE_PERIOD as usize + 3]
-            .iter()
-            .all(|&c| !c));
-        assert!(on_rounds[ADAPTIVE_PROBE_PERIOD as usize + 3]);
-    }
-
-    #[test]
-    fn adaptive_combining_stays_on_at_high_hit_rate() {
-        let (g, p, l) = two_worker_setup();
-        let mut grid: RouteGrid<Src> = RouteGrid::new(2);
-        grid.set_policy(RoutePolicy {
-            adaptive_combine: true,
-            adaptive_min_tries: 1,
-            ..RoutePolicy::default()
-        });
-        let mut inboxes: Vec<Inbox<Src>> = (0..2).map(|_| Inbox::new()).collect();
-        for round in 0..4 {
-            let mut obs: Vec<Outbox<Src>> = vec![Outbox::new(), Outbox::new()];
-            // 8 sends, one destination+key: 7/8 fold yield ≥ 3/4.
-            for _ in 0..8 {
-                obs[0].sends.push(Envelope::new(5, Src(1), 1));
-            }
-            let stats = grid.route_round(None, &mut obs, &mut inboxes, &g, &p, &l, None, true, 8);
-            assert!(stats.combine_on[0], "round {round} stays combined");
-            assert_eq!(stats.delivered_tuples, 1);
-            inboxes.iter_mut().for_each(|i| i.clear());
         }
     }
 
@@ -2272,9 +1746,20 @@ mod tests {
             for d in 0..8u32 {
                 obs[0].sends.push(Envelope::new(d, Src(d), 1));
             }
-            let stats = grid.route_round(None, &mut obs, &mut inboxes, &g, &p, &l, None, false, 8);
+            let stats = grid_round(
+                &mut grid,
+                None,
+                obs,
+                &mut inboxes,
+                &g,
+                &p,
+                &l,
+                None,
+                false,
+                WireFormat::Tuples,
+            );
             assert_eq!(stats.sent_wire, 8, "round {round}");
-            assert!(obs.iter().all(|o| o.sends.is_empty()), "outboxes drained");
+            assert!(grid.is_drained(), "merge drains every shard");
             let delivered: usize = inboxes.iter().map(|i| i.len()).sum();
             assert_eq!(delivered, 8);
             inboxes.iter_mut().for_each(|i| i.clear());

@@ -14,11 +14,11 @@
 //! memory, parallel cutover, fault plan) in its [`EngineConfig`].
 //!
 //! Large runs execute on a persistent [`WorkerPool`] owned by the
-//! runner: one long-lived thread per partition worker, onto which both
-//! the compute phase and the two routing stages are dispatched each
-//! round. No thread is ever spawned inside the round loop or per run,
-//! and the round buffers (inboxes, outboxes, routing shards) are
-//! recycled across rounds and across runs, so a steady-state round is
+//! runner: one long-lived thread per partition worker, onto which the
+//! compute phase (which emits straight into the routing shards) and
+//! the routing merge are dispatched each round. No thread is ever spawned inside the round loop or per run,
+//! and the round buffers (inboxes and routing shards) are recycled
+//! across rounds and across runs, so a steady-state round is
 //! allocation-free on the envelope path.
 
 use crate::message::Message;
@@ -26,9 +26,7 @@ use crate::mirror::MirrorIndex;
 use crate::paging::{PagedLayout, PagerRound, PagerSnapshot, WorkerPager};
 use crate::pool::WorkerPool;
 use crate::profile::{ExecutionMode, SyncMode, SystemProfile};
-use crate::program::{
-    Context, EmitSink, Outbox, PagedNeighbors, PerVertex, ProgramCore, VertexProgram,
-};
+use crate::program::{Context, EmitSink, PagedNeighbors, PerVertex, ProgramCore, VertexProgram};
 use crate::router::{Inbox, LocalIndex, RouteGrid, RoutingStats};
 use crate::slab::{PerSlab, SlabProgram, SlabRecycler};
 use crate::wire::WireFormat;
@@ -284,17 +282,16 @@ impl Deref for GraphRef<'_> {
 }
 
 /// One run's round buffers: the routing grid and the per-worker
-/// inboxes and outboxes.
+/// inboxes.
 struct RoundBuffers<M> {
     grid: RouteGrid<M>,
     inboxes: Vec<Inbox<M>>,
-    outboxes: Vec<Outbox<M>>,
 }
 
 /// Round buffers retired by finished runs, for the runner's next runs
 /// with the same message type: batches of a few rounds then start from
-/// shards, inboxes and outboxes already grown to their traffic instead
-/// of regrowing them from empty. A take/put pool behind a lock, like
+/// shards and inboxes already grown to their traffic instead of
+/// regrowing them from empty. A take/put pool behind a lock, like
 /// [`SlabRecycler`]: concurrent runs on one shared runner each take
 /// their own set (or a new one when none is free).
 #[derive(Default)]
@@ -314,7 +311,6 @@ impl RoundRecycler {
             None => RoundBuffers {
                 grid: RouteGrid::new(workers),
                 inboxes: (0..workers).map(|_| Inbox::new()).collect(),
-                outboxes: (0..workers).map(|_| Outbox::new()).collect(),
             },
         }
     }
@@ -325,7 +321,6 @@ impl RoundRecycler {
     /// from empty buffers that keep their capacity.
     fn put<M: Message>(&self, mut bufs: RoundBuffers<M>) {
         bufs.inboxes.iter_mut().for_each(Inbox::clear);
-        bufs.outboxes.iter_mut().for_each(Outbox::clear);
         debug_assert!(bufs.grid.is_drained(), "routing drains the grid");
         self.free.lock().push(Box::new(bufs));
     }
@@ -570,16 +565,13 @@ impl<'g> Runner<'g> {
         let mut stats = RunStats::new();
         let mut total = SimTime::ZERO;
         // Round buffers, recycled across rounds and runs: the compute
-        // phase drains the inboxes in place, the shard stage drains the
-        // outboxes in place, and the merge stage refills the inboxes —
-        // every Vec keeps the capacity earlier traffic shaped. Setting
-        // the policy resets the grid's adaptive-combining state.
+        // phase drains the inboxes in place and emits into the grid's
+        // shards, and the merge refills the inboxes — every Vec keeps
+        // the capacity earlier traffic shaped.
         let RoundBuffers {
             mut grid,
             mut inboxes,
-            mut outboxes,
         } = self.rounds.take::<C::Message>(workers);
-        grid.set_policy(profile.route_policy(cfg.faults.is_some()));
         // Delivered-message statistics of the previous routing step:
         // those messages are processed (and their buffers are resident)
         // in the *current* round.
@@ -806,40 +798,21 @@ impl<'g> Runner<'g> {
             }
 
             // ---- compute phase -------------------------------------
-            // Fold-at-send profiles emit straight into the prepared
-            // shard matrix; the two-stage baseline emits into flat
-            // outboxes that the routing stage re-walks. Same traffic,
-            // same statistics (minus the copies the former never
-            // performs).
+            // Compute emits straight into the prepared shard matrix,
+            // folding at send when the profile combines.
             grid.set_replay(replaying);
-            let fold_at_send = profile.fold_at_send;
-            let (active, state_added) = if fold_at_send {
-                grid.begin_round(profile.combiner, &self.locals);
-                self.compute_phase_presharded(
-                    program,
-                    round,
-                    cfg.seed,
-                    pool,
-                    &mut inboxes,
-                    &mut grid,
-                    &mut states,
-                    msg_bytes,
-                    pagers.as_mut(),
-                )
-            } else {
-                let active = self.compute_phase(
-                    program,
-                    round,
-                    cfg.seed,
-                    pool,
-                    &mut inboxes,
-                    &mut outboxes,
-                    &mut states,
-                    pagers.as_mut(),
-                );
-                let added = outboxes.iter().map(|ob| ob.state_bytes_added).collect();
-                (active, added)
-            };
+            grid.begin_round(profile.combiner, profile.wire_format, &self.locals);
+            let (active, state_added) = self.compute_phase(
+                program,
+                round,
+                cfg.seed,
+                pool,
+                &mut inboxes,
+                &mut grid,
+                &mut states,
+                msg_bytes,
+                pagers.as_mut(),
+            );
 
             // Harvest the pagers' measured movement: loaded and spilled
             // bytes feed the cost model's disk terms in place of the
@@ -875,43 +848,20 @@ impl<'g> Runner<'g> {
             }
 
             // ---- routing phase -------------------------------------
-            let routing = if fold_at_send {
-                grid.route_presharded(
-                    pool,
-                    &mut inboxes,
-                    &self.locals,
-                    msg_bytes,
-                    profile.combiner,
-                )
-            } else {
-                grid.route_round(
-                    pool,
-                    &mut outboxes,
-                    &mut inboxes,
-                    &self.graph,
-                    &self.partition,
-                    &self.locals,
-                    self.mirrors.as_ref(),
-                    profile.combiner,
-                    msg_bytes,
-                )
-            };
-            if fold_at_send {
-                // Conservation pins for the pre-sharded path, matching
-                // the grid path's property-test guarantees: nothing is
-                // dropped between emission and delivery, and every
-                // encoded byte sent is an encoded byte received.
-                debug_assert_eq!(
-                    routing.sent_wire,
-                    routing.delivered_wire(),
-                    "pre-sharded routing must deliver every wire message"
-                );
-                debug_assert_eq!(
-                    routing.encoded_out_bytes.iter().sum::<u64>(),
-                    routing.encoded_in_bytes.iter().sum::<u64>(),
-                    "pre-sharded routing must conserve encoded wire bytes"
-                );
-            }
+            let routing = grid.route_presharded(pool, &mut inboxes, &self.locals, msg_bytes);
+            // Conservation pins: nothing is dropped between emission
+            // and delivery, and every encoded byte sent is an encoded
+            // byte received.
+            debug_assert_eq!(
+                routing.sent_wire,
+                routing.delivered_wire(),
+                "routing must deliver every wire message"
+            );
+            debug_assert_eq!(
+                routing.encoded_out_bytes.iter().sum::<u64>(),
+                routing.encoded_in_bytes.iter().sum::<u64>(),
+                "routing must conserve encoded wire bytes"
+            );
 
             // ---- demand assembly -----------------------------------
             let demand = self.assemble_demand(
@@ -1040,8 +990,6 @@ impl<'g> Runner<'g> {
                             network_bytes,
                             local_bytes: Bytes(routing.local_bytes),
                             encoded_wire_bytes: Bytes(routing.encoded_wire_bytes),
-                            respond_cache_hits: routing.respond_hits,
-                            respond_cache_misses: routing.respond_misses,
                             shard_copy_bytes: Bytes(routing.shard_copy_bytes),
                             active_vertices: active.iter().sum(),
                             peak_machine_memory: charge.peak_memory,
@@ -1071,11 +1019,7 @@ impl<'g> Runner<'g> {
             prev_in_bytes.copy_from_slice(&routing.in_buffer_bytes);
             round += 1;
         }
-        self.rounds.put(RoundBuffers {
-            grid,
-            inboxes,
-            outboxes,
-        });
+        self.rounds.put(RoundBuffers { grid, inboxes });
 
         // Page back any slab state still on the store so the flattened
         // outputs see every row. This is post-run repatriation, not
@@ -1104,115 +1048,15 @@ impl<'g> Runner<'g> {
         }
     }
 
-    /// Run every worker's compute for one round, draining each inbox
-    /// into its worker's outbox; returns per-worker active-vertex
-    /// counts. With a pool, worker `w` always executes on pool thread
-    /// `w`.
+    /// Run every worker's compute for one round, draining each inbox.
+    /// Each worker emits through its
+    /// [`ShardedOutbox`](crate::ShardedOutbox) sink (obtained from the
+    /// prepared `grid`), so envelopes land pre-sharded — and pre-folded
+    /// — as they are produced. Returns per-worker `(active vertices,
+    /// state bytes added)`. With a pool, worker `w` always executes on
+    /// pool thread `w`.
     #[allow(clippy::too_many_arguments)]
     fn compute_phase<C: ProgramCore>(
-        &self,
-        program: &C,
-        round: usize,
-        seed: u64,
-        pool: Option<&WorkerPool>,
-        inboxes: &mut [Inbox<C::Message>],
-        outboxes: &mut [Outbox<C::Message>],
-        states: &mut [C::Store],
-        pagers: Option<&mut Vec<WorkerPager>>,
-    ) -> Vec<u64> {
-        let mut active = vec![0u64; states.len()];
-        let slots = pager_slots(pagers, states.len());
-        let graph: &Graph = &self.graph;
-        match pool {
-            Some(pool) => {
-                pool.scope(|s| {
-                    for (w, ((((inbox, outbox), worker_states), slot), pager)) in inboxes
-                        .iter_mut()
-                        .zip(outboxes.iter_mut())
-                        .zip(states.iter_mut())
-                        .zip(active.iter_mut())
-                        .zip(slots)
-                        .enumerate()
-                    {
-                        let vertices = &self.locals.worker_vertices()[w];
-                        s.run_on(w, move || {
-                            outbox.clear();
-                            *slot = match pager {
-                                Some(pager) => worker_pass_paged(
-                                    program,
-                                    graph,
-                                    round,
-                                    seed,
-                                    vertices,
-                                    inbox,
-                                    outbox,
-                                    worker_states,
-                                    pager,
-                                ),
-                                None => worker_pass(
-                                    program,
-                                    graph,
-                                    round,
-                                    seed,
-                                    vertices,
-                                    inbox,
-                                    outbox,
-                                    worker_states,
-                                ),
-                            };
-                        });
-                    }
-                });
-            }
-            None => {
-                for (w, ((((inbox, outbox), worker_states), slot), pager)) in inboxes
-                    .iter_mut()
-                    .zip(outboxes.iter_mut())
-                    .zip(states.iter_mut())
-                    .zip(active.iter_mut())
-                    .zip(slots)
-                    .enumerate()
-                {
-                    outbox.clear();
-                    let vertices = &self.locals.worker_vertices()[w];
-                    *slot = match pager {
-                        Some(pager) => worker_pass_paged(
-                            program,
-                            graph,
-                            round,
-                            seed,
-                            vertices,
-                            inbox,
-                            outbox,
-                            worker_states,
-                            pager,
-                        ),
-                        None => worker_pass(
-                            program,
-                            graph,
-                            round,
-                            seed,
-                            vertices,
-                            inbox,
-                            outbox,
-                            worker_states,
-                        ),
-                    };
-                }
-            }
-        }
-        active
-    }
-
-    /// [`Self::compute_phase`] for the fold-at-send path: each worker
-    /// emits through its [`ShardedOutbox`](crate::ShardedOutbox) sink
-    /// (obtained from the prepared `grid`) instead of a flat outbox, so
-    /// envelopes land pre-sharded — and pre-folded — as they are
-    /// produced. Returns per-worker `(active vertices, state bytes
-    /// added)`; the latter replaces the flat outbox's
-    /// `state_bytes_added` ledger.
-    #[allow(clippy::too_many_arguments)]
-    fn compute_phase_presharded<C: ProgramCore>(
         &self,
         program: &C,
         round: usize,
@@ -1436,9 +1280,8 @@ impl<'g> Runner<'g> {
 /// messages are handed to `compute` as a borrowed slice, with no
 /// sorting, no clones, and no per-round allocation. The inbox is
 /// cleared afterwards (capacity retained for the next routing round).
-/// Emissions land in `sink` — a (cleared) flat [`Outbox`] on the
-/// two-stage grid path, a [`ShardedOutbox`](crate::ShardedOutbox) on
-/// the fold-at-send path; both observe the identical emission sequence.
+/// Emissions land in `sink`, the worker's
+/// [`ShardedOutbox`](crate::ShardedOutbox).
 #[allow(clippy::too_many_arguments)]
 fn worker_pass<C: ProgramCore>(
     program: &C,
@@ -1778,7 +1621,6 @@ mod tests {
         let tuples = Runner::new(&g, &HashPartitioner::default(), config(4)).run(&Flood);
         let mut cfg = config(4);
         cfg.profile.wire_format = WireFormat::Compact;
-        cfg.profile.respond_cache_threshold = 8;
         let compact = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
         // The codec changes accounting, never delivery: same rounds,
         // same message counts, same final levels.
@@ -1792,61 +1634,6 @@ mod tests {
         }
         assert!(compact.stats.total_encoded_wire_bytes.get() > 0);
         assert_eq!(tuples.stats.total_encoded_wire_bytes.get(), 0);
-        // Flood sends point-to-point, so the (broadcast-only) respond
-        // cache stays cold; its hit path is pinned by router tests.
-        assert_eq!(compact.stats.respond_cache_hits, 0);
-    }
-
-    #[test]
-    fn fold_at_send_matches_flat_and_halves_copy_traffic() {
-        let g = generators::power_law(300, 1200, 2.3, 5);
-        let pre = Runner::new(&g, &HashPartitioner::default(), config(4)).run(&Flood);
-        let mut cfg = config(4);
-        cfg.profile.fold_at_send = false;
-        let flat = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
-        // Pre-sharded emission changes where envelopes are copied,
-        // never what is delivered: same rounds, counts, and levels.
-        assert_eq!(pre.stats.rounds, flat.stats.rounds);
-        assert_eq!(
-            pre.stats.total_messages_sent,
-            flat.stats.total_messages_sent
-        );
-        assert_eq!(
-            pre.stats.total_messages_delivered,
-            flat.stats.total_messages_delivered
-        );
-        for (a, b) in pre.states.iter().zip(flat.states.iter()) {
-            assert_eq!(a.0, b.0);
-        }
-        // The flat path materialises each surviving envelope in an
-        // outbox and copies it again into its shard bucket; the
-        // pre-sharded path writes it once.
-        assert!(pre.stats.total_shard_copy_bytes.get() > 0);
-        assert!(
-            pre.stats.total_shard_copy_bytes < flat.stats.total_shard_copy_bytes,
-            "presharded {} vs flat {}",
-            pre.stats.total_shard_copy_bytes.get(),
-            flat.stats.total_shard_copy_bytes.get()
-        );
-    }
-
-    #[test]
-    fn adaptive_combiner_run_matches_static_outputs() {
-        let g = generators::complete(24);
-        let mut on = config(4);
-        on.profile.combiner = true;
-        on.profile.adaptive_combiner = true;
-        let mut off = config(4);
-        off.profile.combiner = true;
-        let a = Runner::new(&g, &HashPartitioner::default(), on).run(&Flood);
-        let b = Runner::new(&g, &HashPartitioner::default(), off).run(&Flood);
-        // Adaptive toggling changes when the combiner runs, never what
-        // is computed: sends and final states are invariant.
-        assert_eq!(a.stats.total_messages_sent, b.stats.total_messages_sent);
-        assert_eq!(a.stats.rounds, b.stats.rounds);
-        for (x, y) in a.states.iter().zip(b.states.iter()) {
-            assert_eq!(x.0, y.0);
-        }
     }
 
     #[test]

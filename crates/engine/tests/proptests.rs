@@ -4,10 +4,10 @@
 use mtvc_cluster::{ChaosMix, ClusterSpec, FaultPlan};
 use mtvc_engine::sampling::{binomial, multinomial_uniform};
 use mtvc_engine::{
-    route_with, wire, Context, Delivery, EmitSink, EngineConfig, Envelope, ExecutionMode, Inbox,
-    LocalIndex, Message, MirrorIndex, OocConfig, Outbox, PagingConfig, PartitionSchedule,
-    PayloadCodec, RouteGrid, RoutePolicy, Runner, SlabProgram, SlabRecycler, SlabRowMut, StateSlab,
-    StoreKind, SystemProfile, VertexProgram, WireFormat, WorkerPool, LANES,
+    route, wire, Context, Delivery, EngineConfig, Envelope, ExecutionMode, Inbox, LocalIndex,
+    Message, MirrorIndex, OocConfig, Outbox, PagingConfig, PartitionSchedule, PayloadCodec,
+    RouteGrid, Runner, SlabProgram, SlabRecycler, SlabRowMut, StateSlab, StoreKind, SystemProfile,
+    VertexProgram, WireFormat, WorkerPool, LANES,
 };
 use mtvc_graph::partition::{HashPartitioner, Partitioner};
 use mtvc_graph::{generators, VertexId};
@@ -234,19 +234,21 @@ fn synthetic_outboxes(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Tentpole invariant: the pooled two-stage grid (histogram scatter
-    /// + sender-side slot-map combining) produces grouped inboxes and
-    /// statistics **identical** to the serial reference `route` (stable
-    /// comparison sort + plain-HashMap combining), across random
-    /// graphs, worker counts, combining, and mirroring.
+    /// Tentpole invariant: the presharded grid (`begin_round` →
+    /// `emit_sinks` → `route_presharded`: fold-at-send combining +
+    /// histogram scatter) produces grouped inboxes and statistics
+    /// **identical** to the serial reference `route` (plain-HashMap
+    /// combining + stable comparison sort), across random graphs,
+    /// worker counts, combining, mirroring, wire formats, and pool
+    /// shapes: inline, one thread, and up to four threads.
     #[test]
-    fn parallel_route_equals_serial_route(
+    fn presharded_route_equals_serial_route(
         n in 8usize..150,
         workers in 1usize..9,
         combine in any::<bool>(),
         mirrored in any::<bool>(),
         compact in any::<bool>(),
-        caching in any::<bool>(),
+        threads in 0usize..3,
         seed in any::<u64>(),
     ) {
         let g = generators::erdos_renyi(n, n * 3, seed);
@@ -255,11 +257,7 @@ proptest! {
         let mirrors = mirrored.then(|| MirrorIndex::build(&g, &part, 4));
         let outboxes = synthetic_outboxes(&g, &part, seed ^ 0xD1CE, 40, 6);
         let msg_bytes = 16;
-        let policy = RoutePolicy {
-            wire_format: if compact { WireFormat::Compact } else { WireFormat::Tuples },
-            respond_cache_threshold: if caching { 4 } else { 0 },
-            ..RoutePolicy::default()
-        };
+        let wire_format = if compact { WireFormat::Compact } else { WireFormat::Tuples };
 
         // Total wire messages entering the router, counted from the raw
         // traffic — conservation baseline for the accounting checks.
@@ -270,8 +268,8 @@ proptest! {
                     .sum::<u64>()
         }).sum();
 
-        let (serial_inboxes, serial_stats) = route_with(
-            outboxes.clone(), &g, &part, &locals, mirrors.as_ref(), combine, msg_bytes, &policy,
+        let (serial_inboxes, serial_stats) = route(
+            outboxes.clone(), &g, &part, &locals, mirrors.as_ref(), combine, msg_bytes, wire_format,
         );
 
         // Wire accounting must be invariant under combining: combiners
@@ -286,6 +284,9 @@ proptest! {
             .map(|d| d.mult)
             .sum();
         prop_assert_eq!(delivered_mult, raw_wire);
+        // Only surviving envelopes are written, each exactly once.
+        let env_bytes = std::mem::size_of::<Envelope<Keyed>>() as u64;
+        prop_assert_eq!(serial_stats.shard_copy_bytes, tuples * env_bytes);
 
         // Encoded-byte conservation: every post-codec byte sent to
         // another worker is received by exactly one worker, and without
@@ -301,9 +302,6 @@ proptest! {
         if !compact {
             prop_assert_eq!(serial_stats.encoded_wire_bytes, 0);
             prop_assert_eq!(enc_out, 0);
-        }
-        if !caching {
-            prop_assert_eq!(serial_stats.respond_hits + serial_stats.respond_misses, 0);
         }
 
         // Grouped-delivery invariants: runs ascend by local index, end
@@ -324,120 +322,29 @@ proptest! {
             prop_assert_eq!(start, inbox.len(), "runs must cover the buffer");
         }
 
-        // Pooled grid, run twice over the same traffic to also exercise
-        // buffer reuse across rounds.
-        let pool = WorkerPool::new(workers.min(4));
+        // The grid, fed the identical traffic through its emit sinks,
+        // twice over to also exercise buffer reuse across rounds.
+        let pool = match threads {
+            0 => None,
+            1 => Some(WorkerPool::new(1)),
+            _ => Some(WorkerPool::new(workers.min(4))),
+        };
         let mut grid: RouteGrid<Keyed> = RouteGrid::new(workers);
-        grid.set_policy(policy);
         let mut grid_inboxes: Vec<Inbox<Keyed>> =
             (0..workers).map(|_| Inbox::new()).collect();
         for _ in 0..2 {
-            let mut working = outboxes.clone();
             grid_inboxes.iter_mut().for_each(|i| i.clear());
-            let stats = grid.route_round(
-                Some(&pool),
-                &mut working,
-                &mut grid_inboxes,
-                &g,
-                &part,
-                &locals,
-                mirrors.as_ref(),
-                combine,
-                msg_bytes,
-            );
+            grid.begin_round(combine, wire_format, &locals);
+            for (mut sink, mut ob) in grid
+                .emit_sinks(&g, &part, &locals, mirrors.as_ref(), msg_bytes)
+                .zip(outboxes.clone())
+            {
+                ob.drain_into(&mut sink);
+            }
+            let stats = grid.route_presharded(pool.as_ref(), &mut grid_inboxes, &locals, msg_bytes);
             prop_assert_eq!(stats, &serial_stats);
-            prop_assert!(working.iter().all(|ob| ob.sends.is_empty()
-                && ob.broadcasts.is_empty()));
         }
         prop_assert_eq!(&grid_inboxes, &serial_inboxes);
-    }
-
-    /// Fold-at-send tentpole invariant: replaying the same traffic
-    /// through pre-sharded `ShardedOutbox` sinks (`begin_round` →
-    /// `emit_sinks` → `route_presharded`) produces inboxes and
-    /// statistics identical to the two-stage `route_round` — except
-    /// `shard_copy_bytes`, where folding at emission time must save
-    /// the flat path's per-envelope materialisation copy.
-    #[test]
-    fn presharded_route_equals_two_stage_route(
-        n in 8usize..150,
-        workers in 1usize..9,
-        combine in any::<bool>(),
-        mirrored in any::<bool>(),
-        compact in any::<bool>(),
-        caching in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
-        let g = generators::erdos_renyi(n, n * 3, seed);
-        let part = HashPartitioner { salt: seed }.partition(&g, workers);
-        let locals = LocalIndex::build(&part);
-        let mirrors = mirrored.then(|| MirrorIndex::build(&g, &part, 4));
-        let outboxes = synthetic_outboxes(&g, &part, seed ^ 0xF01D, 40, 6);
-        let msg_bytes = 16;
-        let policy = RoutePolicy {
-            wire_format: if compact { WireFormat::Compact } else { WireFormat::Tuples },
-            respond_cache_threshold: if caching { 4 } else { 0 },
-            ..RoutePolicy::default()
-        };
-        let pool = WorkerPool::new(workers.min(4));
-
-        // Baseline: the two-stage grid over a flat outbox.
-        let mut flat_grid: RouteGrid<Keyed> = RouteGrid::new(workers);
-        flat_grid.set_policy(policy);
-        let mut flat_inboxes: Vec<Inbox<Keyed>> =
-            (0..workers).map(|_| Inbox::new()).collect();
-        let mut working = outboxes.clone();
-        let flat_stats = flat_grid.route_round(
-            Some(&pool),
-            &mut working,
-            &mut flat_inboxes,
-            &g,
-            &part,
-            &locals,
-            mirrors.as_ref(),
-            combine,
-            msg_bytes,
-        ).clone();
-
-        // Pre-sharded: feed the identical traffic straight into the
-        // per-destination shards, twice to exercise buffer reuse.
-        let mut grid: RouteGrid<Keyed> = RouteGrid::new(workers);
-        grid.set_policy(policy);
-        let mut inboxes: Vec<Inbox<Keyed>> =
-            (0..workers).map(|_| Inbox::new()).collect();
-        for _ in 0..2 {
-            inboxes.iter_mut().for_each(|i| i.clear());
-            grid.begin_round(combine, &locals);
-            for (sink, ob) in grid
-                .emit_sinks(&g, &part, &locals, mirrors.as_ref(), msg_bytes)
-                .zip(outboxes.iter())
-            {
-                let mut sink = sink;
-                for env in &ob.sends {
-                    sink.emit(env.clone());
-                }
-                for (origin, msg, mult) in &ob.broadcasts {
-                    sink.emit_broadcast(*origin, msg.clone(), *mult);
-                }
-            }
-            let stats = grid.route_presharded(
-                Some(&pool), &mut inboxes, &locals, msg_bytes, combine,
-            );
-
-            // Folding at send must never copy more than the flat
-            // path, and saves exactly the emit-materialisation pass
-            // (one envelope write per send/broadcast entry).
-            let env_bytes = std::mem::size_of::<Envelope<Keyed>>() as u64;
-            let emit_copies: u64 = outboxes.iter().map(|ob| {
-                (ob.sends.len() + ob.broadcasts.len()) as u64 * env_bytes
-            }).sum();
-            prop_assert_eq!(stats.shard_copy_bytes + emit_copies, flat_stats.shard_copy_bytes);
-
-            let mut scrubbed = stats.clone();
-            scrubbed.shard_copy_bytes = flat_stats.shard_copy_bytes;
-            prop_assert_eq!(&scrubbed, &flat_stats);
-        }
-        prop_assert_eq!(&inboxes, &flat_inboxes);
     }
 
     /// The compact codec is lossless and exactly self-measuring: for
@@ -1280,7 +1187,7 @@ proptest! {
 
     /// One runner executes a sequence of batches, as a job or a batch
     /// executor does: its layout, pool and round buffers (routing grid,
-    /// inboxes, outboxes) are reused from batch to batch, and its slabs
+    /// inboxes) are reused from batch to batch, and its slabs
     /// come from one recycler. Every batch must equal the same batch on
     /// a fresh runner — across programs, widths and message types;
     /// paged, resident and mirrored layouts; combining and wire format;

@@ -27,15 +27,9 @@ pub struct RoundStats {
     /// Post-codec bytes of the round's message buckets under the
     /// compact wire format (zero for profiles shipping full tuples).
     pub encoded_wire_bytes: Bytes,
-    /// Broadcast copies served from receiver-side request-respond
-    /// caches this round, and the payloads shipped to prime them.
-    pub respond_cache_hits: u64,
-    pub respond_cache_misses: u64,
-    /// Bytes of surviving envelopes memcpy'd into shard buckets this
-    /// round. The flat emit path pays this twice per envelope (outbox
-    /// materialisation + bucket append); fold-at-send pre-sharded
-    /// outboxes pay it once, so this counter is how the copy saving
-    /// shows up in reports.
+    /// Bytes of surviving envelopes written into shard buckets this
+    /// round: one envelope per delivered tuple (envelopes folded at
+    /// send are never written).
     pub shard_copy_bytes: Bytes,
     /// Vertices whose `compute` ran this round.
     pub active_vertices: u64,
@@ -107,9 +101,6 @@ pub struct RunStats {
     /// Post-codec bucket bytes across the run (see
     /// [`RoundStats::encoded_wire_bytes`]).
     pub total_encoded_wire_bytes: Bytes,
-    /// Request-respond cache totals across the run.
-    pub respond_cache_hits: u64,
-    pub respond_cache_misses: u64,
     /// Shard-bucket copy traffic across the run (see
     /// [`RoundStats::shard_copy_bytes`]).
     pub total_shard_copy_bytes: Bytes,
@@ -155,8 +146,6 @@ impl RunStats {
         self.total_messages_delivered += round.messages_delivered;
         self.total_network_bytes += round.network_bytes;
         self.total_encoded_wire_bytes += round.encoded_wire_bytes;
-        self.respond_cache_hits += round.respond_cache_hits;
-        self.respond_cache_misses += round.respond_cache_misses;
         self.total_shard_copy_bytes += round.shard_copy_bytes;
         self.total_spilled_bytes += round.spilled_bytes;
         self.total_loaded_bytes += round.loaded_bytes;
@@ -182,8 +171,6 @@ impl RunStats {
         self.total_messages_delivered += other.total_messages_delivered;
         self.total_network_bytes += other.total_network_bytes;
         self.total_encoded_wire_bytes += other.total_encoded_wire_bytes;
-        self.respond_cache_hits += other.respond_cache_hits;
-        self.respond_cache_misses += other.respond_cache_misses;
         self.total_shard_copy_bytes += other.total_shard_copy_bytes;
         self.total_spilled_bytes += other.total_spilled_bytes;
         self.total_loaded_bytes += other.total_loaded_bytes;

@@ -25,7 +25,7 @@ use mtvc_graph::hash::mix64;
 use mtvc_graph::Graph;
 use mtvc_metrics::{Bytes, Histogram, RunOutcome, SimTime, TimedSeries, OVERLOAD_CUTOFF};
 use mtvc_systems::SystemKind;
-use mtvc_tune::{train, FitError, OnlineLatencyModel, OnlineMemoryModel};
+use mtvc_tune::{train_on, FitError, OnlineLatencyModel, OnlineMemoryModel};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -552,17 +552,9 @@ impl TaskService {
             if admission.supports(&shape) {
                 continue; // duplicate shape in the config
             }
-            let probe_task = shape.with_workload(cfg.training_workload);
-            let data = train(
-                &graph,
-                probe_task,
-                cfg.system,
-                &cfg.cluster,
-                cfg.seed ^ mix64(i as u64 + 1),
-            );
-            let model = OnlineMemoryModel::fit(&data, cfg.seed)
-                .map_err(|source| StartError::Fit { shape, source })?;
-            admission.register(shape, model);
+            // Train on the runner that will serve the shape, so the
+            // probes share one engine runner and its slab pools, and
+            // serving starts from buffers the probes already grew.
             let mut runner =
                 BatchRunner::new(graph.clone(), shape, cfg.system, cfg.cluster.clone())
                     .with_checkpoint_every(cfg.checkpoint_every);
@@ -572,6 +564,11 @@ impl TaskService {
             if let Some(plan) = &cfg.chaos {
                 runner = runner.with_faults(plan.clone());
             }
+            let probe_task = shape.with_workload(cfg.training_workload);
+            let data = train_on(&runner, probe_task, cfg.seed ^ mix64(i as u64 + 1));
+            let model = OnlineMemoryModel::fit(&data, cfg.seed)
+                .map_err(|source| StartError::Fit { shape, source })?;
+            admission.register(shape, model);
             runners.push((shape, Arc::new(runner)));
         }
 

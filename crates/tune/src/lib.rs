@@ -39,5 +39,5 @@ pub use latency::OnlineLatencyModel;
 pub use lma::{fit_exponential, ExpFit, FitError};
 pub use online::OnlineMemoryModel;
 pub use schedule::{compute_schedule, MemoryModel, ScheduleError};
-pub use training::{train, TrainingData};
+pub use training::{train, train_on, TrainingData};
 pub use tuner::{tune, TunedSchedule, TunerConfig};

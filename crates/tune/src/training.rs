@@ -6,7 +6,7 @@
 //! residual memory {y'_r}."
 
 use mtvc_cluster::ClusterSpec;
-use mtvc_core::{run_job, BatchSchedule, JobSpec, Task};
+use mtvc_core::{run_job, BatchRunner, BatchSchedule, JobResult, JobSpec, Task};
 use mtvc_graph::Graph;
 use mtvc_metrics::SimTime;
 use mtvc_systems::SystemKind;
@@ -62,6 +62,35 @@ pub fn train(
     cluster: &ClusterSpec,
     seed: u64,
 ) -> TrainingData {
+    collect(graph, task, system, cluster, seed, |spec| {
+        run_job(graph, spec)
+    })
+}
+
+/// [`train`] on `runner`'s graph, system and cluster, executing the
+/// probes on the runner itself: its engine runner and slab pools are
+/// built once for all probes, and stay warm for the batches it serves
+/// afterwards. The statistics equal [`train`]'s.
+pub fn train_on(runner: &BatchRunner, task: Task, seed: u64) -> TrainingData {
+    collect(
+        runner.graph(),
+        task,
+        runner.system(),
+        runner.cluster(),
+        seed,
+        |spec| runner.run_job(spec),
+    )
+}
+
+/// Run each probe job through `run` and collect its statistics.
+fn collect(
+    graph: &Graph,
+    task: Task,
+    system: SystemKind,
+    cluster: &ClusterSpec,
+    seed: u64,
+    run: impl Fn(&JobSpec) -> JobResult,
+) -> TrainingData {
     let probes = probe_workloads(task.workload(), task.max_workload(graph));
     let mut data = TrainingData::default();
     for &w in &probes {
@@ -73,7 +102,7 @@ pub fn train(
             BatchSchedule::full_parallelism(w),
         )
         .with_seed(seed ^ w);
-        let result = run_job(graph, &spec);
+        let result = run(&spec);
         // Probes are light by construction; a failed probe would mean
         // even 2^r overloads the cluster, in which case its statistics
         // are still the best available signal.
@@ -118,6 +147,24 @@ mod tests {
     fn tiny_workload_still_three_probes() {
         let p = probe_workloads(8, u64::MAX);
         assert!(p.len() >= 3, "{p:?}");
+    }
+
+    #[test]
+    fn training_on_a_batch_runner_equals_training() {
+        let g = std::sync::Arc::new(generators::power_law(200, 900, 2.4, 53));
+        let cluster = ClusterSpec::galaxy(4);
+        for task in [Task::bppr(256), Task::mssp(64)] {
+            let fresh = train(&g, task, SystemKind::PregelPlus, &cluster, 3);
+            let runner = BatchRunner::new(g.clone(), task, SystemKind::PregelPlus, cluster.clone());
+            // Twice on one runner: the second pass reuses its buffers.
+            for _ in 0..2 {
+                let on = train_on(&runner, task, 3);
+                assert_eq!(on.workloads, fresh.workloads);
+                assert_eq!(on.peak_memory, fresh.peak_memory);
+                assert_eq!(on.residual, fresh.residual);
+                assert_eq!(on.training_time, fresh.training_time);
+            }
+        }
     }
 
     #[test]
